@@ -23,7 +23,11 @@
 # acceptance criteria (zero expired executions, goodput retention at 2x
 # offered load, shed-count grid determinism) and leaves
 # BENCH_deadline.json, re-checked from the JSON by a python gate. All
-# tracked cross-PR. Skippable with --skip-bench.
+# tracked cross-PR. The stage ends with a perfbench smoke run: each of the
+# real-path benchmark's three workloads (perfbench/, described by
+# BENCHMARK.json) for 2 s, failing on a wrong answer (correct: false) or
+# any failed op; its timings are not gated here. Skippable with
+# --skip-bench.
 #
 # A grep lint runs before everything: src/ and tests/ must read time only
 # through the §15 ClockSource seam, never raw std::chrono clocks.
@@ -145,6 +149,31 @@ if bad:
 print("DEADLINE acceptance holds: no expired effects, goodput retained, "
       "grid-deterministic")
 PYEOF
+
+  for workload in rpc_small stream_put airline_wan; do
+    echo "==> bench: perfbench smoke ($workload, 2 s)"
+    # run.py builds its own Release tree (.bench_build) and exits nonzero
+    # on a failed build or output check; the gate below also refuses a
+    # run in which any op failed.
+    if ! out="$(python3 perfbench/run.py --workload "$workload" --seed 1 \
+                  --seconds 2 --trace 0)"; then
+      echo "$out"
+      echo "perfbench smoke FAIL: $workload did not complete" >&2
+      exit 1
+    fi
+    printf '%s\n' "$out" | tail -n 1 | python3 -c '
+import json, sys
+workload = sys.argv[1]
+result = json.loads(sys.stdin.read())
+correct, failed, attempted = (result["correct"], result["failed"],
+                              result["attempted"])
+if not correct or failed > 0:
+    print(f"perfbench smoke FAIL: {workload}: correct={correct} "
+          f"failed={failed} of {attempted}")
+    sys.exit(1)
+print(f"perfbench smoke ok: {workload}: {attempted} ops, none failed")
+' "$workload"
+  done
 fi
 
 if [[ "$SKIP_CHAOS" -eq 1 ]]; then

@@ -79,7 +79,7 @@ Clerk::Clerk(Guardian& shell, std::string passenger)
 
 Clerk::~Clerk() { shell_.RetirePort(term_); }
 
-const PortName& Clerk::term_port() const { return term_->name(); }
+PortName Clerk::term_port() const { return term_->name(); }
 
 TransSummary Clerk::RunTransaction(const PortName& user_port,
                                    const std::vector<ClerkOp>& ops,

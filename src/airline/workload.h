@@ -74,7 +74,7 @@ class Clerk {
                               const std::vector<ClerkOp>& ops,
                               Micros op_timeout, int max_retries = 2);
 
-  const PortName& term_port() const;
+  PortName term_port() const;
 
  private:
   Guardian& shell_;

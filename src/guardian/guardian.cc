@@ -25,10 +25,27 @@ NodeId Guardian::node() const { return runtime_->id(); }
 Port* Guardian::AddPort(const PortType& type, size_t capacity,
                         bool provided) {
   std::lock_guard<std::mutex> lock(ports_mu_);
+  const uint32_t index = next_index_++;
+  if (!provided) {
+    auto pooled = pool_.find({type.hash(), capacity});
+    if (pooled != pool_.end() && !pooled->second.empty()) {
+      // Recycle a retired object: its type was registered when it was
+      // made. Re-keying the map node moves the object from its old name to
+      // the new one without allocating.
+      Port* p = pooled->second.back();
+      pooled->second.pop_back();
+      auto node = by_index_.extract(p->name().port_index);
+      assert(!node.empty());
+      p->Reuse(index);
+      node.key() = index;
+      by_index_.insert(std::move(node));
+      return p;
+    }
+  }
   PortName pn;
   pn.node = runtime_->id();
   pn.guardian = id_;
-  pn.port_index = static_cast<uint32_t>(ports_.size());
+  pn.port_index = index;
   pn.type_hash = type.hash();
   // "Compile" the header into the system-wide library so any sender can
   // check against it.
@@ -37,41 +54,42 @@ Port* Guardian::AddPort(const PortType& type, size_t capacity,
     GLOG_ERROR << "port type registration failed: " << registered;
   }
   ports_.push_back(std::make_unique<Port>(pn, type, &mailbox_, capacity));
+  Port* p = ports_.back().get();
+  by_index_.emplace(index, p);
   if (provided) {
-    provided_.push_back(pn.port_index);
+    provided_.push_back(pn);
   }
-  return ports_.back().get();
+  return p;
 }
 
-void Guardian::RetirePort(Port* p) { p->Retire(); }
+void Guardian::RetirePort(Port* p) {
+  if (!p->Retire()) {
+    return;  // already retired (and pooled, if it went through here)
+  }
+  std::lock_guard<std::mutex> lock(ports_mu_);
+  pool_[{p->type().hash(), p->capacity()}].push_back(p);
+}
 
 std::vector<PortName> Guardian::ProvidedPorts() const {
   std::lock_guard<std::mutex> lock(ports_mu_);
-  std::vector<PortName> names;
-  names.reserve(provided_.size());
-  for (uint32_t index : provided_) {
-    names.push_back(ports_[index]->name());
-  }
-  return names;
+  return provided_;
 }
 
 Port* Guardian::port(size_t i) const {
-  std::lock_guard<std::mutex> lock(ports_mu_);
-  assert(i < ports_.size());
-  return ports_[i].get();
-}
-
-size_t Guardian::port_count() const {
-  std::lock_guard<std::mutex> lock(ports_mu_);
-  return ports_.size();
+  Port* p = FindPort(static_cast<uint32_t>(i));
+  assert(p != nullptr);
+  return p;
 }
 
 Port* Guardian::FindPort(uint32_t index) const {
   std::lock_guard<std::mutex> lock(ports_mu_);
-  if (index >= ports_.size()) {
-    return nullptr;
-  }
-  return ports_[index].get();
+  auto it = by_index_.find(index);
+  return it == by_index_.end() ? nullptr : it->second;
+}
+
+bool Guardian::PortIndexIssued(uint32_t index) const {
+  std::lock_guard<std::mutex> lock(ports_mu_);
+  return index < next_index_;
 }
 
 Status Guardian::Send(const PortName& to, const std::string& command,

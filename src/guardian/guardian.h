@@ -24,6 +24,8 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/common/clock.h"
@@ -76,14 +78,25 @@ class Guardian {
   // names are handed back from guardian creation (the `provides` clause of
   // a guardian definition header). The port's type is registered in the
   // system's guardian-header library automatically.
+  //
+  // Every port gets a fresh name: indices count up per incarnation and are
+  // never reissued. A non-provided port reuses a retired Port object of the
+  // same type and capacity when one is pooled (no allocation, no
+  // registration), so ephemeral reply and ack ports cost memory in
+  // proportion to how many are live at once, not to how many were made.
   Port* AddPort(const PortType& type,
                 size_t capacity = Port::kDefaultCapacity,
                 bool provided = false);
-  // Retire an ephemeral port (e.g. a per-request reply port).
+  // Retire an ephemeral port (e.g. a per-request reply port). Its name
+  // stays dead forever; its object returns to the pool. Until the object is
+  // reused, the old name still resolves to it (sends count against its
+  // discarded_retired); afterwards, sends to the old name are retired drops
+  // at the node. The pointer stays valid as long as the guardian, but once
+  // a later AddPort reuses the object it is that new port.
   void RetirePort(Port* port);
   std::vector<PortName> ProvidedPorts() const;
+  // The port named by index `i` (asserted to resolve).
   Port* port(size_t i) const;
-  size_t port_count() const;
 
   // --- Communication (Section 3.4) ------------------------------------------
   // The no-wait send: returns as soon as the message is composed and handed
@@ -156,7 +169,11 @@ class Guardian {
   void Attach(NodeRuntime* rt, GuardianId gid, std::string gname,
               uint64_t seal);
   Mailbox& mailbox() { return mailbox_; }
+  // The port object currently named by `index`, or nullptr.
   Port* FindPort(uint32_t index) const;
+  // True when `index` was ever issued in this incarnation: a FindPort miss
+  // on an issued index is a retired port whose object has been reused.
+  bool PortIndexIssued(uint32_t index) const;
   void CloseMailbox();
   void JoinProcesses();
 
@@ -171,9 +188,15 @@ class Guardian {
   bool persistent_ = false;
 
   mutable Mailbox mailbox_;
+  // Port table, guarded by ports_mu_ (ordered before mailbox_.mu). Objects
+  // live as long as the guardian; names map to the objects that carry them.
   mutable std::mutex ports_mu_;
-  std::vector<std::unique_ptr<Port>> ports_;
-  std::vector<uint32_t> provided_;
+  std::vector<std::unique_ptr<Port>> ports_;  // every object, creation order
+  std::unordered_map<uint32_t, Port*> by_index_;  // current name -> object
+  uint32_t next_index_ = 0;                        // the next fresh name
+  // Retired objects awaiting reuse, keyed by (type hash, capacity).
+  std::map<std::pair<uint64_t, size_t>, std::vector<Port*>> pool_;
+  std::vector<PortName> provided_;
   ProcessGroup processes_;
   std::mutex wals_mu_;
   std::map<std::string, std::unique_ptr<Wal>> wals_;

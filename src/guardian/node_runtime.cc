@@ -144,9 +144,11 @@ PortType CreationReplyPortType() {
                    MessageSig{"pong", {}, {}}});
 }
 
-PortType AckPortType() {
-  return PortType("sys_ack",
-                  {MessageSig{"ack", {ArgType::Of(TypeTag::kString)}, {}}});
+const PortType& AckPortType() {
+  // Built once: every SyncSend names it for its ack port.
+  static const PortType type(
+      "sys_ack", {MessageSig{"ack", {ArgType::Of(TypeTag::kString)}, {}}});
+  return type;
 }
 
 NodeRuntime::NodeRuntime(System* system, NodeId id, std::string name,
@@ -934,8 +936,12 @@ void NodeRuntime::DispatchEnvelopes(std::vector<Envelope> envelopes,
       plan.action = Action::kFail;
       plan.drop_kind = DropKind::kNoGuardian;
     } else if (port == nullptr) {
+      // An issued index that no longer resolves named a retired port whose
+      // object has been reused under a fresh name.
       plan.action = Action::kFail;
-      plan.drop_kind = DropKind::kNoPort;
+      plan.drop_kind = guardian->PortIndexIssued(e.target.port_index)
+                           ? DropKind::kRetired
+                           : DropKind::kNoPort;
     } else if (port->type().hash() != e.target.type_hash) {
       // A stale name: the guardian was re-created with different ports.
       plan.action = Action::kFail;
@@ -1032,8 +1038,11 @@ void NodeRuntime::DispatchEnvelopes(std::vector<Envelope> envelopes,
   }
 
   // Execution pass, in batch order. Runs of consecutive pushes into one
-  // (port, control-class) pair collapse into a single PushBatch — one
-  // mailbox lock and at most one receiver wake per run.
+  // (port, target name, control-class) triple collapse into a single
+  // PushBatch — one mailbox lock and at most one receiver wake per run.
+  // The target index rides along because the guardian may recycle the
+  // resolved Port object under a fresh name before the push; PushBatch
+  // refuses the run as retired if so.
   const TimePoint dispatch_now = clock_->Now();
   size_t i = 0;
   while (i < plans.size()) {
@@ -1056,7 +1065,9 @@ void NodeRuntime::DispatchEnvelopes(std::vector<Envelope> envelopes,
     }
     size_t end = i + 1;
     while (end < plans.size() && plans[end].action == Action::kPush &&
-           plans[end].port == plan.port && plans[end].control == plan.control) {
+           plans[end].port == plan.port &&
+           plans[end].env.target.port_index == plan.env.target.port_index &&
+           plans[end].control == plan.control) {
       ++end;
     }
     std::vector<Received> run;
@@ -1082,7 +1093,8 @@ void NodeRuntime::DispatchEnvelopes(std::vector<Envelope> envelopes,
       run.push_back(std::move(message));
     }
     const std::vector<Port::PushOutcome> outcomes =
-        plan.port->PushBatch(std::move(run), plan.control);
+        plan.port->PushBatch(std::move(run), plan.env.target.port_index,
+                             plan.control);
     for (size_t k = i; k < end; ++k) {
       const Port::PushOutcome& outcome = outcomes[k - i];
       const Envelope& e = plans[k].env;
@@ -1122,6 +1134,14 @@ void NodeRuntime::FinishUnroutable(const Envelope& env, DropKind kind) {
       trace_event = "port.drop.type_mismatch";
       reason = "target port type mismatch";
       break;
+    case DropKind::kRetired:
+      // A retired port is not a missing or full one: the sender learns
+      // that retrying the same name is useless until the port is
+      // recreated.
+      counters_.drop_port_retired->Inc();
+      trace_event = "port.drop.retired";
+      reason = "target port retired";
+      break;
   }
   system_->traces().Record(env.trace_id, id_, trace_event,
                            env.target.ToString());
@@ -1136,6 +1156,9 @@ void NodeRuntime::FinishUnroutable(const Envelope& env, DropKind kind) {
         break;
       case DropKind::kTypeMismatch:
         ++stats_.discarded_type_mismatch;
+        break;
+      case DropKind::kRetired:
+        ++stats_.discarded_port_retired;
         break;
     }
   }
@@ -1215,16 +1238,7 @@ void NodeRuntime::FinishPushFailed(const Envelope& env, const Port& port,
     }
   }
   if (pushed == PushResult::kRetired) {
-    // A retired port is not a full one: the sender learns that retrying
-    // the same name is useless until the port is recreated.
-    counters_.drop_port_retired->Inc();
-    system_->traces().Record(env.trace_id, id_, "port.drop.retired",
-                             env.target.ToString());
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.discarded_port_retired;
-    }
-    SendSystemFailure(env.reply_to, "target port retired", env.trace_id);
+    FinishUnroutable(env, DropKind::kRetired);
     return;
   }
   counters_.drop_port_full->Inc();
@@ -1323,7 +1337,11 @@ void NodeRuntime::StampFlowCredit(Envelope& ack, const PortName& about) {
   if (port == nullptr) {
     return;  // the port is gone; the ack still counts, just creditless
   }
-  ack.fc_port = port->name();
+  const PortName current = port->name();
+  if (current.port_index != about.port_index) {
+    return;  // renamed since the lookup: the port `about` named is gone
+  }
+  ack.fc_port = current;
   ack.fc_depth = static_cast<uint32_t>(port->depth());
   ack.fc_capacity = static_cast<uint32_t>(port->capacity());
 }
@@ -1343,7 +1361,10 @@ void NodeRuntime::SendFlowNack(const Envelope& dropped, const Port& port) {
   env.target = to;
   env.command = kFailureCommand;
   env.args = {Value::Str("no room at target port")};
-  env.fc_port = port.name();
+  // The name the message was refused at (the type check at resolution
+  // made its type hash the port's), not port.name(): the object may have
+  // been renamed since the push.
+  env.fc_port = dropped.target;
   env.fc_depth = static_cast<uint32_t>(port.depth());
   env.fc_capacity = static_cast<uint32_t>(port.capacity());
   env.fc_full = true;

@@ -279,7 +279,13 @@ class NodeRuntime {
   // Rebuild the dedup table from the journal at boot.
   Status RecoverDedup();
   // Why a resolution failed; names the drop bucket and failure text.
-  enum class DropKind : uint8_t { kNoGuardian, kNoPort, kTypeMismatch };
+  // kRetired: the target port was retired (its name is never reissued).
+  enum class DropKind : uint8_t {
+    kNoGuardian,
+    kNoPort,
+    kTypeMismatch,
+    kRetired,
+  };
   // Count/trace an unroutable envelope and send its failure(...) reply.
   void FinishUnroutable(const Envelope& env, DropKind kind);
   // Count/trace a push failure, roll back the dedup mark so a retry can
@@ -422,7 +428,7 @@ PortType PrimordialPortType();
 // Port type for replies to create_guardian / ping.
 PortType CreationReplyPortType();
 // Port type of the hidden acknowledgement port of the synchronization send.
-PortType AckPortType();
+const PortType& AckPortType();
 
 }  // namespace guardians
 

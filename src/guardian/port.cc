@@ -42,12 +42,18 @@ PushResult Port::Push(Received&& message, bool control) {
 }
 
 std::vector<Port::PushOutcome> Port::PushBatch(
-    std::vector<Received>&& messages, bool control) {
+    std::vector<Received>&& messages, uint32_t target_index, bool control) {
   std::vector<PushOutcome> outcomes;
   outcomes.reserve(messages.size());
   bool any_ok = false;
   {
     std::lock_guard<std::mutex> lock(mailbox_->mu);
+    if (index_.load(std::memory_order_relaxed) != target_index) {
+      // Addressed to a retired name whose object was reused meanwhile. Not
+      // counted in this port's discards: they belong to its current name.
+      outcomes.resize(messages.size(), PushOutcome{PushResult::kRetired});
+      return outcomes;
+    }
     for (Received& message : messages) {
       outcomes.push_back(PushLocked(std::move(message), control));
       any_ok = any_ok || outcomes.back().result == PushResult::kOk;
@@ -59,14 +65,28 @@ std::vector<Port::PushOutcome> Port::PushBatch(
   return outcomes;
 }
 
-void Port::Retire() {
+bool Port::Retire() {
   std::lock_guard<std::mutex> lock(mailbox_->mu);
+  if (retired_) {
+    return false;
+  }
   retired_ = true;
   // Messages already enqueued die here; without this line they vanished
   // from the drop ledger entirely (enqueued but neither received nor
   // counted in any discard bucket).
   discarded_retired_ += queue_.size();
   queue_.clear();
+  return true;
+}
+
+void Port::Reuse(uint32_t index) {
+  std::lock_guard<std::mutex> lock(mailbox_->mu);
+  index_.store(index, std::memory_order_release);
+  retired_ = false;
+  enqueued_ = 0;
+  discarded_full_ = 0;
+  discarded_retired_ = 0;
+  control_overflow_ = 0;
 }
 
 bool Port::retired() const {

@@ -15,6 +15,7 @@
 #ifndef GUARDIANS_SRC_GUARDIAN_PORT_H_
 #define GUARDIANS_SRC_GUARDIAN_PORT_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -87,13 +88,21 @@ class Port {
   static constexpr size_t kControlHeadroom = 16;
 
   Port(PortName name, PortType type, Mailbox* mailbox, size_t capacity)
-      : name_(name), type_(std::move(type)), mailbox_(mailbox),
+      : node_(name.node), guardian_(name.guardian), index_(name.port_index),
+        type_hash_(name.type_hash), type_(std::move(type)), mailbox_(mailbox),
         capacity_(capacity) {}
 
   Port(const Port&) = delete;
   Port& operator=(const Port&) = delete;
 
-  const PortName& name() const { return name_; }
+  // The port's current name. A guardian recycles retired port objects
+  // under fresh names (Guardian::AddPort), so the index may change while
+  // another thread holds the Port*; it is read atomically here, and Push
+  // refuses a message addressed to an earlier name under the mailbox lock.
+  PortName name() const {
+    return PortName{node_, guardian_, index_.load(std::memory_order_acquire),
+                    type_hash_};
+  }
   const PortType& type() const { return type_; }
   size_t capacity() const { return capacity_; }
 
@@ -115,12 +124,17 @@ class Port {
   // most) one receiver wake — the batched delivery path's amortization.
   // Each message is admitted by the same policy as Push, in order, so the
   // outcomes are exactly what per-message pushes would have produced.
+  // `target_index` is the port index the messages were addressed to: if
+  // the port has since been renamed, every message is refused as kRetired
+  // (it was sent to a name that no longer lives here).
   std::vector<PushOutcome> PushBatch(std::vector<Received>&& messages,
+                                     uint32_t target_index,
                                      bool control = false);
 
   // Mark dead: no further pushes succeed, pending messages are dropped.
-  // Used when an ephemeral reply port is retired.
-  void Retire();
+  // Used when an ephemeral reply port is retired. False if the port was
+  // already retired.
+  bool Retire();
   bool retired() const;
 
   // --- Receiving side (guardian processes); called with mailbox.mu held ---
@@ -138,10 +152,19 @@ class Port {
   Mailbox* mailbox() const { return mailbox_; }
 
  private:
+  friend class Guardian;
+
   // Admission logic shared by Push/PushBatch; requires mailbox_->mu held.
   PushOutcome PushLocked(Received&& message, bool control);
 
-  const PortName name_;
+  // Bring a retired port back to life under a fresh index, with zeroed
+  // statistics (Guardian's port pool only).
+  void Reuse(uint32_t index);
+
+  const NodeId node_;
+  const GuardianId guardian_;
+  std::atomic<uint32_t> index_;  // written under mailbox_->mu
+  const uint64_t type_hash_;
   const PortType type_;
   Mailbox* mailbox_;
   const size_t capacity_;

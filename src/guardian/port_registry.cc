@@ -6,7 +6,15 @@ Status PortTypeRegistry::Register(const PortType& type) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = types_.find(type.hash());
   if (it != types_.end()) {
-    if (it->second.Canonical() != type.Canonical()) {
+    // Equal structures render equal canonical text, so the common case
+    // (the same header compiled against again) needs no rendering; only a
+    // structural difference is checked against the canonical texts.
+    const PortType& known = it->second;
+    if (known.name() == type.name() &&
+        known.signatures() == type.signatures()) {
+      return OkStatus();
+    }
+    if (known.Canonical() != type.Canonical()) {
       return Status(Code::kInternal, "port type hash collision for '" +
                                          type.name() + "'");
     }

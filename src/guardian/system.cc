@@ -16,6 +16,30 @@ System::System(SystemConfig config)
       network_(config.seed ^ 0xA5A5A5A5ull, &metrics_, &traces_,
                config.delivery_shards, config.delivery_batch_max, clock_) {
   network_.SetDefaultLink(config_.default_link);
+  auto counter = [this](const char* name) { return metrics_.counter(name); };
+  sendprim_counters_.call = {counter("sendprims.call.calls"),
+                             counter("sendprims.call.attempts"),
+                             counter("sendprims.call.timeouts"),
+                             counter("sendprims.call.deadline_exceeded")};
+  sendprim_counters_.sync = {counter("sendprims.sync.calls"),
+                             counter("sendprims.sync.timeouts"),
+                             counter("sendprims.sync.expired"),
+                             counter("sendprims.sync.full_nacks")};
+  sendprim_counters_.reliable = {
+      counter("sendprims.reliable.calls"),
+      counter("sendprims.reliable.attempts"),
+      counter("sendprims.reliable.timeouts"),
+      counter("sendprims.reliable.deadline_exceeded"),
+      counter("sendprims.reliable.ok"),
+      counter("sendprims.reliable.hard_fail"),
+      counter("sendprims.reliable.full_nacks"),
+      counter("sendprims.reliable.exhausted"),
+      metrics_.histogram("sendprims.reliable.backoff_us")};
+  sendprim_counters_.failover = {
+      counter("sendprims.failover.calls"),
+      counter("sendprims.failover.failovers"),
+      counter("sendprims.failover.quarantine_skips"),
+      counter("sendprims.failover.deadline_exceeded")};
   // System-defined port types every node may rely on.
   Status st = port_types_.Register(PrimordialPortType());
   assert(st.ok());

@@ -93,6 +93,29 @@ class System {
   MetricsRegistry& metrics() { return metrics_; }
   TraceBuffer& traces() { return traces_; }
 
+  // The send primitives' (src/sendprims) counters, resolved once at
+  // construction so a call's bookkeeping is relaxed atomic increments, not
+  // a registry lookup under the registry mutex per update.
+  struct SendPrimCounters {
+    struct {
+      Counter *calls, *attempts, *timeouts, *deadline_exceeded;
+    } call;
+    struct {
+      Counter *calls, *timeouts, *expired, *full_nacks;
+    } sync;
+    struct {
+      Counter *calls, *attempts, *timeouts, *deadline_exceeded, *ok,
+          *hard_fail, *full_nacks, *exhausted;
+      Histogram* backoff_us;
+    } reliable;
+    struct {
+      Counter *calls, *failovers, *quarantine_skips, *deadline_exceeded;
+    } failover;
+  };
+  const SendPrimCounters& sendprim_counters() const {
+    return sendprim_counters_;
+  }
+
   // Node-health oracle, installed by an attached fault Supervisor (see
   // src/fault/supervisor.h) and consulted by FailoverCall: true when the
   // supervisor has quarantined the node as crash-looping. Kept as an
@@ -141,6 +164,7 @@ class System {
   // Observability must outlive (and be constructed before) the network and
   // the nodes: both cache Counter*/Histogram* pointers into the registry.
   MetricsRegistry metrics_;
+  SendPrimCounters sendprim_counters_;
   TraceBuffer traces_;
   Network network_;
   PortTypeRegistry port_types_;

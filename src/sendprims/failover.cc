@@ -14,9 +14,8 @@ Result<FailoverResult> FailoverCall(Guardian& caller,
                                     const PortType& reply_type,
                                     const RemoteCallOptions& per_target) {
   System& system = caller.runtime().system();
-  MetricsRegistry& metrics = system.metrics();
-  metrics.counter("sendprims.failover.calls")->Inc();
-  Counter* failovers_counter = metrics.counter("sendprims.failover.failovers");
+  const auto& counters = system.sendprim_counters().failover;
+  counters.calls->Inc();
 
   // Replica order: healthy first. A replica the supervisor has quarantined
   // is known to be crash-looping, so trying it first would burn a full
@@ -29,8 +28,7 @@ Result<FailoverResult> FailoverCall(Guardian& caller,
     (system.NodeQuarantined(targets[i].node) ? demoted : order).push_back(i);
   }
   if (!demoted.empty()) {
-    metrics.counter("sendprims.failover.quarantine_skips")
-        ->Inc(demoted.size());
+    counters.quarantine_skips->Inc(demoted.size());
     order.insert(order.end(), demoted.begin(), demoted.end());
   }
 
@@ -46,13 +44,13 @@ Result<FailoverResult> FailoverCall(Guardian& caller,
     const size_t i = order[attempt];
     if (attempt > 0) {
       // Attempting the next replica because the previous one failed us.
-      failovers_counter->Inc();
+      counters.failovers->Inc();
     }
     RemoteCallOptions opts = per_target;
     if (inherited_at != TimePoint::max()) {
       const TimePoint now = clock.Now();
       if (now >= inherited_at) {
-        metrics.counter("sendprims.failover.deadline_exceeded")->Inc();
+        counters.deadline_exceeded->Inc();
         last = Status(Code::kTimeout,
                       "inherited deadline exhausted after " +
                           std::to_string(attempt) + " of " +

@@ -11,10 +11,8 @@ Result<RemoteReply> RemoteCall(Guardian& caller, const PortName& to,
                                const std::string& command, ValueList args,
                                const PortType& reply_type,
                                const RemoteCallOptions& options) {
-  MetricsRegistry& metrics = caller.runtime().system().metrics();
-  metrics.counter("sendprims.call.calls")->Inc();
-  Counter* attempts_counter = metrics.counter("sendprims.call.attempts");
-  Counter* timeouts_counter = metrics.counter("sendprims.call.timeouts");
+  const auto& counters = caller.runtime().system().sendprim_counters().call;
+  counters.calls->Inc();
   const ClockSource& clock = caller.runtime().clock();
   // Inherit the caller's propagated deadline (§16): a handler that fans
   // out nested calls must never promise downstream more time than its own
@@ -35,7 +33,7 @@ Result<RemoteReply> RemoteCall(Guardian& caller, const PortName& to,
       if (now >= inherited_at) {
         // The inherited budget is gone: another attempt could only
         // produce a reply nobody upstream is still waiting for.
-        metrics.counter("sendprims.call.deadline_exceeded")->Inc();
+        counters.deadline_exceeded->Inc();
         last = Status(Code::kTimeout,
                       "inherited deadline exhausted before attempt " +
                           std::to_string(attempt));
@@ -45,7 +43,7 @@ Result<RemoteReply> RemoteCall(Guardian& caller, const PortName& to,
           effective, std::chrono::duration_cast<Micros>(inherited_at - now));
     }
     reply.attempts = attempt;
-    attempts_counter->Inc();
+    counters.attempts->Inc();
     // Defer-before-send against the destination's congestion window; a
     // window that stays closed for the attempt's whole timeout counts as
     // a timed-out attempt (the receiver is that congested).
@@ -54,7 +52,7 @@ Result<RemoteReply> RemoteCall(Guardian& caller, const PortName& to,
                                        : Deadline(effective, &clock));
     if (!slot.ok()) {
       last = Status(Code::kTimeout, "flow window closed for remote call");
-      timeouts_counter->Inc();
+      counters.timeouts->Inc();
       continue;
     }
     // Stamp this attempt's budget onto the wire so the server sheds the
@@ -77,7 +75,7 @@ Result<RemoteReply> RemoteCall(Guardian& caller, const PortName& to,
       if (received.status().code() == Code::kNodeDown) {
         break;
       }
-      timeouts_counter->Inc();
+      counters.timeouts->Inc();
       continue;
     }
     if (received->command == kFailureCommand &&

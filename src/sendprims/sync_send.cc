@@ -11,8 +11,8 @@ Status SyncSend(Guardian& sender, const PortName& to,
                 const std::string& command, ValueList args, Micros timeout,
                 uint64_t dedup_seq) {
   NodeRuntime& rt = sender.runtime();
-  MetricsRegistry& metrics = rt.system().metrics();
-  metrics.counter("sendprims.sync.calls")->Inc();
+  const auto& counters = rt.system().sendprim_counters().sync;
+  counters.calls->Inc();
   // Micros::max() is explicitly infinite — constructing a Deadline from it
   // would overflow Now() + timeout into the past and expire immediately,
   // the exact expired-vs-unset confusion the 0-sentinel audit exists to
@@ -26,7 +26,7 @@ Status SyncSend(Guardian& sender, const PortName& to,
   // of being shed at the receiver's port.
   FlowSlot slot = rt.flow().Acquire(to, deadline);
   if (!slot.ok()) {
-    metrics.counter("sendprims.sync.timeouts")->Inc();
+    counters.timeouts->Inc();
     return Status(Code::kTimeout, "flow window closed until deadline");
   }
   // Ack-port capacity comes from the system config (sync_ack_capacity):
@@ -58,7 +58,7 @@ Status SyncSend(Guardian& sender, const PortName& to,
     auto received = sender.Receive(ack_port, deadline.Remaining());
     if (!received.ok()) {
       if (received.status().code() == Code::kTimeout) {
-        metrics.counter("sendprims.sync.timeouts")->Inc();
+        counters.timeouts->Inc();
       }
       sender.RetirePort(ack_port);
       return received.status();
@@ -74,7 +74,7 @@ Status SyncSend(Guardian& sender, const PortName& to,
         // kTimeout, so ReliableSend books it against the overall deadline
         // instead of fast-retrying into a window that has nothing to do
         // with it.
-        metrics.counter("sendprims.sync.expired")->Inc();
+        counters.expired->Inc();
         sender.RetirePort(ack_port);
         return Status(Code::kTimeout, received->args[0].string_value());
       }
@@ -84,7 +84,7 @@ Status SyncSend(Guardian& sender, const PortName& to,
       // the ack timeout — and let the caller's retry be paced by the
       // congestion window, whose halving was applied when the nack's fc
       // fields were consumed on the delivery path.
-      metrics.counter("sendprims.sync.full_nacks")->Inc();
+      counters.full_nacks->Inc();
       sender.RetirePort(ack_port);
       return Status(Code::kPortFull,
                     received->args.empty()
@@ -99,7 +99,7 @@ Status SyncSend(Guardian& sender, const PortName& to,
     }
     // A stale or foreign ack; keep waiting until the deadline.
     if (deadline.Expired()) {
-      metrics.counter("sendprims.sync.timeouts")->Inc();
+      counters.timeouts->Inc();
       sender.RetirePort(ack_port);
       return Status(Code::kTimeout, "no receipt acknowledgement");
     }

@@ -53,6 +53,11 @@ struct MessageSig {
   std::vector<std::string> replies;
 
   std::string Canonical() const;
+
+  friend bool operator==(const MessageSig& a, const MessageSig& b) {
+    return a.command == b.command && a.args == b.args &&
+           a.replies == b.replies;
+  }
 };
 
 // A full port type: a named set of message signatures. The implicit system

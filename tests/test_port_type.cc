@@ -1,6 +1,7 @@
 // Unit tests for port types and send-time message checking (Section 3.2).
 #include <gtest/gtest.h>
 
+#include "src/guardian/port_registry.h"
 #include "src/transmit/complex.h"
 #include "src/value/port_type.h"
 
@@ -130,6 +131,27 @@ TEST(PortTypeTest, FailureSigShape) {
   const MessageSig sig = FailureSig();
   EXPECT_EQ(sig.command, kFailureCommand);
   EXPECT_TRUE(sig.replies.empty());
+}
+
+TEST(PortTypeRegistryTest, ReRegisteringAKnownHeaderIsIdempotent) {
+  PortTypeRegistry registry;
+  ASSERT_TRUE(registry.Register(ReservePortType()).ok());
+  // The same header compiled against again (the structural fast path).
+  EXPECT_TRUE(registry.Register(ReservePortType()).ok());
+  // A structurally different description with the same canonical text
+  // (a stray abstract name on a built-in argument does not render) is the
+  // same header, not a collision.
+  PortType rendered_alike(
+      "flight",
+      {MessageSig{"reserve",
+                  {ArgType{TypeTag::kString, "ignored"},
+                   ArgType::Of(TypeTag::kInt)},
+                  {"ok", "full"}},
+       MessageSig{"note", {ArgType::Of(TypeTag::kString)}, {}},
+       MessageSig{"poll", {}, {"status"}}});
+  ASSERT_EQ(rendered_alike.hash(), ReservePortType().hash());
+  EXPECT_TRUE(registry.Register(rendered_alike).ok());
+  EXPECT_EQ(registry.size(), 1u);
 }
 
 }  // namespace
