@@ -29,8 +29,11 @@
 # any failed op; its timings are not gated here. Skippable with
 # --skip-bench.
 #
-# A grep lint runs before everything: src/ and tests/ must read time only
-# through the §15 ClockSource seam, never raw std::chrono clocks.
+# Two grep lints run before everything: src/ and tests/ must read time
+# only through the §15 ClockSource seam, never raw std::chrono clocks; and
+# within src/sendprims/ the inherited-deadline read, the flow-slot acquire
+# and the no-wait send each appear in exactly one file (the one attempt
+# path), so no primitive re-derives the per-attempt rules.
 #
 # The chaos stage runs the deterministic chaos harness (bench_chaos: three
 # pinned seeds of composed faults — partitions, one-way cuts, campus cuts,
@@ -96,6 +99,22 @@ if grep -rn "std::chrono::steady_clock\|std::chrono::system_clock" \
   exit 1
 fi
 echo "lint ok: src/ and tests/ read time only through ClockSource"
+
+echo "==> lint: one attempt path under the send ladder"
+# The §3 ladder's per-attempt rules (inherited deadline, flow slot, the
+# no-wait send under a stamped budget) live in one file of src/sendprims/;
+# a primitive that calls these itself is re-deriving them.
+for call in 'CurrentDeadlineAt(' 'flow().Acquire(' 'SendFull('; do
+  files="$(grep -rlF --include='*.h' --include='*.cc' "$call" \
+             src/sendprims/ || true)"
+  if [[ "$(printf '%s' "$files" | grep -c .)" -ne 1 ]]; then
+    echo "lint FAIL: '$call' must appear in exactly one file of" \
+         "src/sendprims/, found:" >&2
+    echo "${files:-  (none)}" >&2
+    exit 1
+  fi
+done
+echo "lint ok: src/sendprims/ has one attempt path"
 
 echo "==> tier-1: configure + build (preset: default)"
 cmake --preset default

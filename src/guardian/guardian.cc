@@ -1,5 +1,6 @@
 #include "src/guardian/guardian.h"
 
+#include <algorithm>
 #include <cassert>
 #include <optional>
 
@@ -138,7 +139,7 @@ Result<uint64_t> Guardian::SendFull(const PortName& to,
   return msg_id;
 }
 
-Result<Received> Guardian::Receive(const std::vector<Port*>& ports,
+Result<Received> Guardian::Receive(std::span<Port* const> ports,
                                    Micros timeout) {
   assert(!ports.empty());
   for (Port* p : ports) {
@@ -146,40 +147,39 @@ Result<Received> Guardian::Receive(const std::vector<Port*>& ports,
            "only processes within a guardian can receive from its ports");
     (void)p;
   }
-  const bool infinite = timeout == Micros::max();
   const ClockSource& clock = runtime_->clock();
-  const Deadline deadline = infinite ? Deadline::Infinite(&clock)
-                                     : Deadline(timeout, &clock);
+  const Deadline deadline = timeout == Micros::max()
+                                ? Deadline::Infinite(&clock)
+                                : Deadline(timeout, &clock);
   std::unique_lock<std::mutex> lock(mailbox_.mu);
   // Priority scan of the port list, lazily discarding entries whose
   // propagated deadline budget died while they sat in the queue (§16): a
   // backed-up port drains dead work at dequeue speed instead of executing
   // it. Finishing a dead entry (failure nack, dedup rollback, metrics)
-  // takes node locks, so it happens outside the mailbox lock; the caller
-  // re-scans afterwards because the mailbox may have changed meanwhile.
-  auto pop_live = [&](bool* discarded) -> std::optional<Received> {
+  // takes node locks, so it happens outside the mailbox lock.
+  auto pop_live = [&]() -> std::optional<Received> {
     for (Port* p : ports) {
       while (p->HasMessageLocked()) {
         Received message = p->PopLocked();
-        if (message.deadline_at != TimePoint::max() &&
-            clock.Now() >= message.deadline_at) {
-          lock.unlock();
-          runtime_->FinishExpiredAtDequeue(std::move(message));
-          lock.lock();
-          *discarded = true;
-          continue;
+        if (message.deadline_at == TimePoint::max() ||
+            clock.Now() < message.deadline_at) {
+          return message;
         }
-        return message;
+        lock.unlock();
+        runtime_->FinishExpiredAtDequeue(std::move(message));
+        lock.lock();
       }
     }
     return std::nullopt;
   };
+  // A wait that ends at the deadline scans once more: a message may have
+  // arrived with the timeout.
+  bool timed_out = false;
   for (;;) {
     if (mailbox_.closed) {
       return Status(Code::kNodeDown, "guardian's node is down");
     }
-    bool discarded = false;
-    if (std::optional<Received> message = pop_live(&discarded)) {
+    if (std::optional<Received> message = pop_live()) {
       lock.unlock();
       runtime_->NoteReceived(*message);
       if (!message->ack_to.IsNull()) {
@@ -189,34 +189,20 @@ Result<Received> Guardian::Receive(const std::vector<Port*>& ports,
       }
       return std::move(*message);
     }
-    if (discarded) {
-      // The mailbox lock was dropped while finishing dead entries; rescan
-      // (and recheck closed) before deciding to wait.
-      continue;
+    if (timed_out) {
+      return Status(Code::kTimeout,
+                    "receive timed out; nothing is known about the true "
+                    "state of affairs");
     }
-    if (infinite) {
-      clock.WaitOnce(mailbox_.cv, lock, TimePoint::max());
-    } else {
-      if (deadline.Expired() ||
-          clock.WaitOnce(mailbox_.cv, lock, deadline.at())) {
-        // Check once more: a message may have arrived with the timeout.
-        discarded = false;
-        if (std::optional<Received> message = pop_live(&discarded)) {
-          lock.unlock();
-          runtime_->NoteReceived(*message);
-          if (!message->ack_to.IsNull()) {
-            runtime_->SendAck(*message);
-          }
-          return std::move(*message);
-        }
-        if (mailbox_.closed) {
-          return Status(Code::kNodeDown, "guardian's node is down");
-        }
-        return Status(Code::kTimeout,
-                      "receive timed out; nothing is known about the true "
-                      "state of affairs");
-      }
-    }
+    // A predicate wait, which also covers whatever arrived while the scan
+    // dropped the lock. Under a simulated clock the wait itself drops the
+    // lock to register, and a bare wait would lose a close or an arrival
+    // notified in that gap — forever, when the deadline is infinite.
+    timed_out = deadline.Expired() ||
+                !clock.WaitUntil(mailbox_.cv, lock, deadline.at(), [&] {
+                  return mailbox_.closed ||
+                         std::ranges::any_of(ports, &Port::HasMessageLocked);
+                });
   }
 }
 

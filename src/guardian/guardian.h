@@ -21,8 +21,10 @@
 #define GUARDIANS_SRC_GUARDIAN_GUARDIAN_H_
 
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -121,10 +123,14 @@ class Guardian {
 
   // receive on <port list> ... with timeout. Ports are scanned in list
   // order — that is the priority rule. All ports must belong to this
-  // guardian. Micros::max() waits forever (until node shutdown).
-  Result<Received> Receive(const std::vector<Port*>& ports, Micros timeout);
+  // guardian. Micros::max() waits forever (until node shutdown). The list
+  // is viewed, never copied: a single-port receive allocates nothing.
+  Result<Received> Receive(std::span<Port* const> ports, Micros timeout);
+  Result<Received> Receive(std::initializer_list<Port*> ports, Micros timeout) {
+    return Receive(std::span(ports), timeout);
+  }
   Result<Received> Receive(Port* port, Micros timeout) {
-    return Receive(std::vector<Port*>{port}, timeout);
+    return Receive(std::span<Port* const>(&port, 1), timeout);
   }
 
   // --- Tokens (Section 2.1) ---------------------------------------------------

@@ -15,6 +15,9 @@ Network::Network(uint64_t seed, MetricsRegistry* metrics, TraceBuffer* traces,
       batch_max_(std::max<size_t>(batch_max, 1)) {
   if (metrics_ != nullptr) {
     delivery_latency_ = metrics_->histogram("net.delivery_latency_us");
+    corrupted_ = metrics_->counter("net.corrupted");
+    dup_injected_ = metrics_->counter("net.dup.injected");
+    reorder_released_ = metrics_->counter("net.reorder.released");
   }
   shards_.reserve(std::max<size_t>(shards, 1));
   for (size_t k = 0; k < std::max<size_t>(shards, 1); ++k) {
@@ -234,7 +237,7 @@ void Network::Send(Packet packet) {
       ++stats_.packets_corrupted;
       if (link_counters != nullptr) {
         link_counters->corrupted->Inc();
-        metrics_->counter("net.corrupted")->Inc();
+        corrupted_->Inc();
       }
       if (traces_ != nullptr) {
         traces_->Record(packet.trace_id, 0, "net.corrupted",
@@ -268,9 +271,7 @@ void Network::Send(Packet packet) {
       // independently downstream, so packets_delivered + packets_dropped
       // balances against packets_sent + packets_duplicated.
       ++stats_.packets_duplicated;
-      if (metrics_ != nullptr) {
-        metrics_->counter("net.dup.injected")->Inc();
-      }
+      if (dup_injected_ != nullptr) dup_injected_->Inc();
       if (link_counters != nullptr) {
         link_counters->duplicated->Inc();
       }
@@ -385,9 +386,7 @@ void Network::ReleaseHeld(uint64_t shuffle_seed) {
       for (size_t i = 0; i < held.size(); ++i) {
         held[i].deliver_at = now + Micros(static_cast<int64_t>(i));
       }
-      if (metrics_ != nullptr) {
-        metrics_->counter("net.reorder.released")->Inc(held.size());
-      }
+      if (reorder_released_ != nullptr) reorder_released_->Inc(held.size());
     }
   }
   for (InFlight& entry : held) {

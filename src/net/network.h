@@ -297,7 +297,11 @@ class Network {
   uint64_t link_epoch_ = 0;
   MetricsRegistry* metrics_;  // may be null (standalone networks in tests)
   TraceBuffer* traces_;       // may be null
+  // Resolved once at construction; null when metrics_ is.
   Histogram* delivery_latency_ = nullptr;
+  Counter* corrupted_ = nullptr;
+  Counter* dup_injected_ = nullptr;
+  Counter* reorder_released_ = nullptr;
   std::unordered_map<uint64_t, LinkCounters> link_counters_;
 
   std::vector<std::unique_ptr<Shard>> shards_;

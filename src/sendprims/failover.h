@@ -46,7 +46,8 @@ struct FailoverResult {
 // Replicas whose node a fault Supervisor has quarantined (known
 // crash-looping — see System::NodeQuarantined) are demoted to the end of
 // the order instead of burning a full per-target timeout up front;
-// target_index always refers to the caller's original list.
+// target_index always refers to the caller's original list. Under an
+// inherited deadline (§16) each replica gets an even share of what is left.
 Result<FailoverResult> FailoverCall(Guardian& caller,
                                     const std::vector<PortName>& targets,
                                     const std::string& command,

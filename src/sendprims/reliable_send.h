@@ -6,22 +6,12 @@
 // build is this loop — send, await the receipt, resend on timeout — which
 // is possible precisely because the chosen primitive composes.
 //
-// Delivery used to be at-least-once: a resend racing a delayed ack
-// duplicates the message on the wire. Every ReliableSend is now *tracked*
-// (one dedup sequence number spans all its attempts), so the receiving
-// node's at-most-once layer (DESIGN.md §10) suppresses those duplicates —
-// while still acknowledging their receipt — and the receiving process sees
-// at most one copy. The old caveat about idempotent-only payloads is gone.
-//
-// Overload handling (DESIGN.md §11): each attempt goes through SyncSend,
-// which defers on the destination's congestion window before sending. A
-// full-port nack comes back as kPortFull and is retried immediately — the
-// window's congested hold, not the blind exponential backoff, paces that
-// retry at the receiver's actual drain rate. The backoff below applies
-// only to genuine ack timeouts (loss, partition, dead receiver). Outcomes
-// are counted so .ok + .exhausted + .deadline_exceeded + .hard_fail sums
-// to .calls; hard_fail is the non-retryable bucket (type error, node
-// down).
+// One dedup sequence number spans all attempts, so the receiver's
+// at-most-once layer (DESIGN.md §10) acks resends without re-delivering
+// them. Each attempt is a SyncSend under the rules every primitive shares
+// (send_ladder.cc). A full-port nack is retried at once, paced by the
+// window's congested hold; only timeouts back off. Outcomes are counted so
+// .ok + .exhausted + .deadline_exceeded + .hard_fail sums to .calls.
 #ifndef GUARDIANS_SRC_SENDPRIMS_RELIABLE_SEND_H_
 #define GUARDIANS_SRC_SENDPRIMS_RELIABLE_SEND_H_
 
@@ -34,21 +24,17 @@ namespace guardians {
 struct ReliableSendOptions {
   Micros ack_timeout{Millis(100)};  // per-attempt wait for the receipt
   int max_attempts = 10;
-  // Exponential backoff between timed-out attempts. A resend storm into a
-  // congested port only deepens the overload that timed the ack out; each
-  // retry waits initial_backoff * backoff_multiplier^(attempt-1), capped at
-  // max_backoff, with ±jitter randomization so synchronized senders
-  // desynchronize. jitter = 0 disables randomization; initial_backoff = 0
-  // restores the old retry-immediately behaviour.
+  // Exponential backoff between timed-out attempts, so a resend storm does
+  // not deepen the overload that timed the ack out: initial_backoff *
+  // backoff_multiplier^(attempt-1), capped at max_backoff, ±jitter.
+  // initial_backoff = 0 retries at once.
   Micros initial_backoff{Millis(1)};
   Micros max_backoff{Millis(50)};
   double backoff_multiplier = 2.0;
   double jitter = 0.5;
-  // Overall wall-clock bound across every attempt and backoff sleep; 0
-  // disables it (the old behaviour, where max_attempts × max_backoff was
-  // the only bound). When it expires the call fails with kTimeout and
-  // counts in sendprims.reliable.deadline_exceeded; per-attempt ack waits
-  // are clipped to the time remaining so the bound is honoured exactly.
+  // Overall bound across every attempt and backoff sleep, clipped by the
+  // inherited deadline (§16); 0 disables it. Once it is spent the call
+  // fails with kTimeout (sendprims.reliable.deadline_exceeded).
   Micros deadline{0};
 };
 

@@ -2,13 +2,10 @@
 // waits until the message has been received by the target process" — the
 // primitive of Hoare's CSP.
 //
-// The paper chooses the no-wait send precisely because the others "can be
-// implemented by it, but not vice versa (if extra message passing is to be
-// avoided)". This module is that construction: a no-wait send carrying a
-// hidden acknowledgement port; the system acks when (and only when) a
-// receive in the target guardian dequeues the message. The extra wire
-// message is intrinsic to the primitive, which the SEND experiment
-// measures.
+// Built, as the paper argues it can be, on the no-wait send: the message
+// carries a hidden acknowledgement port, and the system acks when (and
+// only when) a receive in the target guardian dequeues it. The extra wire
+// message is intrinsic to the primitive; the SEND experiment measures it.
 #ifndef GUARDIANS_SRC_SENDPRIMS_SYNC_SEND_H_
 #define GUARDIANS_SRC_SENDPRIMS_SYNC_SEND_H_
 
@@ -31,11 +28,10 @@ namespace guardians {
 // including our own resends — but still acknowledges their receipt, so a
 // retry loop above this primitive terminates without re-executing.
 //
-// Flow control (DESIGN.md §11): the send first claims a slot of the
-// destination port's congestion window, waiting (up to the timeout) while
-// the window is closed — kTimeout if it never opens. If the receiver sheds
-// the message at a full port, the full-nack arrives on the ack port and
-// the call fails fast with kPortFull instead of waiting out the timeout.
+// The per-attempt rules are the ones every primitive shares
+// (send_ladder.cc): the timeout is clipped by the inherited deadline (§16),
+// and a spent one fails with kTimeout unsent; the wait for a flow slot
+// (§11) counts against it; a full-port nack fails fast with kPortFull.
 Status SyncSend(Guardian& sender, const PortName& to,
                 const std::string& command, ValueList args, Micros timeout,
                 uint64_t dedup_seq = 0);

@@ -65,17 +65,19 @@ Status CabinetGuardian::InitCommon(bool recovering) {
 
 void CabinetGuardian::Main() {
   Port* requests = port(0);
+  Counter* const served =
+      runtime().system().metrics().counter("services.cabinet.requests");
   for (;;) {
     auto received = Receive(requests, Micros::max());
     if (!received.ok()) {
       return;
     }
+    served->Inc();
     HandleRequest(*received);
   }
 }
 
 void CabinetGuardian::HandleRequest(const Received& request) {
-  runtime().system().metrics().counter("services.cabinet.requests")->Inc();
   auto reply = [&](const char* command, ValueList args) {
     if (!request.reply_to.IsNull()) {
       Status st = Send(request.reply_to, command, std::move(args));

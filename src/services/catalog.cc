@@ -60,17 +60,19 @@ Status CatalogGuardian::InitCommon(bool recovering) {
 
 void CatalogGuardian::Main() {
   Port* requests = port(0);
+  Counter* const served =
+      runtime().system().metrics().counter("services.catalog.requests");
   for (;;) {
     auto received = Receive(requests, Micros::max());
     if (!received.ok()) {
       return;
     }
+    served->Inc();
     HandleRequest(*received);
   }
 }
 
 void CatalogGuardian::HandleRequest(const Received& request) {
-  runtime().system().metrics().counter("services.catalog.requests")->Inc();
   auto reply = [&](const char* command, ValueList args) {
     if (!request.reply_to.IsNull()) {
       Status st = Send(request.reply_to, command, std::move(args));

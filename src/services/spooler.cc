@@ -47,6 +47,8 @@ Status SpoolerGuardian::Setup(const ValueList& args) {
 
 void SpoolerGuardian::Main() {
   Port* requests = port(0);
+  Counter* const served =
+      runtime().system().metrics().counter("services.spooler.requests");
   for (;;) {
     auto received = Receive(requests, Micros::max());
     if (!received.ok()) {
@@ -58,7 +60,7 @@ void SpoolerGuardian::Main() {
       work_cv_.notify_all();
       return;
     }
-    runtime().system().metrics().counter("services.spooler.requests")->Inc();
+    served->Inc();
     auto reply = [&](const char* command, ValueList args) {
       if (!received->reply_to.IsNull()) {
         Status st = Send(received->reply_to, command, std::move(args));

@@ -185,11 +185,13 @@ TEST(AllocBudgetTest, RemoteCallRoundTripIsPinned) {
   // port, the flow slot, the tracked send (type check, encode, fragment,
   // hand-off to the network) and the receive of the reply. Delivery and
   // the server run on other threads and are not counted. Pinned at the
-  // count measured once a retired reply port is recycled instead of
-  // allocated: 13. With a fresh Port per call (its PortType, its deque and
-  // a type registration rendering two canonical strings) the same round
-  // trip made 26.
-  constexpr uint64_t kPinned = 13;
+  // count measured once the single-port Receive stopped building a vector
+  // and the last attempt began handing its arguments to the send instead
+  // of copying them: 10. Recycling retired reply ports had brought it to
+  // 13; with a fresh Port per call (its PortType, its deque and a type
+  // registration rendering two canonical strings) the same round trip
+  // made 26.
+  constexpr uint64_t kPinned = 10;
 
   SystemConfig config;
   config.seed = 5;

@@ -4,13 +4,15 @@
 // Micros-sentinel audit (max = infinite, 0 = poll / disabled — never
 // "expired"), expiry-shedding at the port queue with the dedup mark
 // rolled back so an in-deadline retry still executes exactly once, the
-// idle-link reassembler sweep hook, and inherited-budget fail-fast in
-// RemoteCall / FailoverCall. Everything runs on the §15 SimulatedClock:
+// idle-link reassembler sweep hook, inherited-budget fail-fast and
+// clipping in every primitive of the send ladder, and the flow-control wait
+// counted against the attempt. Everything runs on the §15 SimulatedClock:
 // the boundary states are constructed exactly, not raced for.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -83,6 +85,64 @@ class GatedSink : public Guardian {
 
  private:
   std::atomic<int> executed_{0};
+};
+
+// "put" for the send primitives, "call" (answered with "done") for
+// RemoteCall.
+PortType ProbePortType() {
+  return PortType("dprobe",
+                  {MessageSig{"put", {ArgType::Of(TypeTag::kInt)}, {}},
+                   MessageSig{"call", {ArgType::Of(TypeTag::kInt)}, {"done"}}});
+}
+
+PortType ProbeReplyType() {
+  return PortType("dprobe_reply", {MessageSig{"done", {}, {}}});
+}
+
+// A silent server that records the budget each message arrives with: its
+// deadline, less the receiving node's now at dequeue.
+class BudgetProbe : public Guardian {
+ public:
+  Status Setup(const ValueList&) override {
+    AddPort(ProbePortType(), 64, /*provided=*/true);
+    return OkStatus();
+  }
+  void Main() override {
+    for (;;) {
+      auto m = Receive(port(0), Micros::max());
+      if (!m.ok()) {
+        return;
+      }
+      std::lock_guard<std::mutex> lock(mu_);
+      budget_ = m->deadline_at == TimePoint::max()
+                    ? Micros::max()
+                    : std::chrono::duration_cast<Micros>(
+                          m->deadline_at - runtime().clock().Now());
+      ++seen_;
+    }
+  }
+  // The budget of the last message, once one has arrived (bounded by a
+  // wall-time wait; Micros::min() if none came).
+  Micros AwaitBudget() {
+    const TimePoint wall_start = Now();
+    for (;;) {
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (seen_ > 0) {
+          return budget_;
+        }
+      }
+      if (Now() - wall_start > kWallBudget) {
+        return Micros::min();
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+
+ private:
+  std::mutex mu_;
+  Micros budget_{0};
+  int seen_ = 0;
 };
 
 // --- The two boundary states, pinned at the Deadline level ------------------
@@ -491,6 +551,162 @@ TEST(InheritedBudget, FailoverCallFailsFastOnExhaustedInheritedDeadline) {
       1u);
   EXPECT_EQ(system.metrics().counter("sendprims.call.calls")->value(), 0u);
   sim.StartAutoStep();  // teardown may need steps
+}
+
+// The ack-waiting rungs of the §3 ladder, each as one call whose 5 s
+// per-attempt timeout only the inherited budget can cut short.
+struct AckPrimitive {
+  const char* name;
+  const char* spent_counter;  // where a spent inherited budget is counted
+  Status (*send)(Guardian& sender, const PortName& to);
+};
+
+const AckPrimitive kAckPrimitives[] = {
+    {"SyncSend", "sendprims.sync.timeouts",
+     [](Guardian& sender, const PortName& to) {
+       return SyncSend(sender, to, "put", {Value::Int(5)}, Micros(5'000'000),
+                       sender.runtime().NextDedupSeq());
+     }},
+    {"ReliableSend", "sendprims.reliable.deadline_exceeded",
+     [](Guardian& sender, const PortName& to) {
+       ReliableSendOptions options;
+       options.ack_timeout = Micros(5'000'000);
+       return ReliableSend(sender, to, "put", {Value::Int(5)}, options)
+           .status();
+     }},
+};
+
+// SyncSend and ReliableSend check the inherited deadline too: with the
+// budget already gone they fail before sending anything.
+TEST(InheritedBudget, AckPrimitivesFailFastOnExhaustedInheritedDeadline) {
+  for (const AckPrimitive& primitive : kAckPrimitives) {
+    SCOPED_TRACE(primitive.name);
+    SimulatedClock sim;
+    sim.StartAutoStep();
+    SystemConfig config;
+    config.seed = 19;
+    config.sim_clock = &sim;
+    System system(config);
+    NodeRuntime& a = system.AddNode("a");
+    NodeRuntime& b = system.AddNode("b");
+    a.RegisterGuardianType("shell", MakeFactory<ShellGuardian>());
+    b.RegisterGuardianType("sink", MakeFactory<SilentSink>());
+    Guardian* sender = *a.Create<ShellGuardian>("shell", "sender", {});
+    SilentSink* sink = *b.Create<SilentSink>("sink", "sink", {});
+    MetricsRegistry& metrics = system.metrics();
+    const uint64_t sent_before = metrics.counter("node.messages_sent")->value();
+
+    SetCurrentDeadlineAt(a.clock().Now());  // inherited budget: spent
+    const Status st = primitive.send(*sender, sink->ProvidedPorts()[0]);
+    SetCurrentDeadlineAt(TimePoint::max());
+
+    EXPECT_EQ(st.code(), Code::kTimeout) << st.message();
+    EXPECT_EQ(metrics.counter(primitive.spent_counter)->value(), 1u);
+    EXPECT_EQ(metrics.counter("node.messages_sent")->value(), sent_before);
+  }
+}
+
+// With budget D left upstream, a 5 s attempt timeout is clipped to D: the
+// receiver never sees more than D. Links have zero latency and the clock is
+// not stepped during the call, so the receiver sees exactly what was
+// stamped and host load cannot move virtual time under the send.
+TEST(InheritedBudget, AckPrimitivesStampNoMoreThanTheInheritedBudget) {
+  constexpr Micros kInherited(200'000);
+  for (const AckPrimitive& primitive : kAckPrimitives) {
+    SCOPED_TRACE(primitive.name);
+    SimulatedClock sim;
+    sim.StartAutoStep();
+    SystemConfig config;
+    config.seed = 20;
+    config.sim_clock = &sim;
+    config.default_link.latency = Micros(0);
+    System system(config);
+    NodeRuntime& a = system.AddNode("a");
+    NodeRuntime& b = system.AddNode("b");
+    a.RegisterGuardianType("shell", MakeFactory<ShellGuardian>());
+    b.RegisterGuardianType("probe", MakeFactory<BudgetProbe>());
+    Guardian* sender = *a.Create<ShellGuardian>("shell", "sender", {});
+    BudgetProbe* probe = *b.Create<BudgetProbe>("probe", "probe", {});
+    ASSERT_TRUE(system.WaitQuiescent(Millis(2'000)));
+    sim.StopAutoStep();
+
+    SetCurrentDeadlineAt(a.clock().Now() + kInherited);
+    const Status st = primitive.send(*sender, probe->ProvidedPorts()[0]);
+    SetCurrentDeadlineAt(TimePoint::max());
+
+    EXPECT_TRUE(st.ok()) << st.message();
+    const Micros seen = probe->AwaitBudget();
+    EXPECT_GT(seen, Micros(0));
+    EXPECT_LE(seen, kInherited);
+    sim.StartAutoStep();  // teardown may need steps
+  }
+}
+
+// The flow-control wait is part of the attempt. The destination sits in a
+// full nack's congested hold for W of an inherited budget D while a
+// RemoteCall waits on a silent server: the call returns by D (not D + W),
+// and the server is promised at most the D - W left after the wait. The
+// test steps the clock by hand, so the hold ends exactly at W and the call
+// can time out only once the server has the request.
+TEST(InheritedBudget, FlowWaitCountsAgainstTheAttempt) {
+  constexpr Micros kInherited(1'000'000);  // D
+  constexpr Micros kHold(300'000);         // W
+  SimulatedClock sim;
+  sim.StartAutoStep();
+  const TimePoint wall_start = Now();
+  SystemConfig config;
+  config.seed = 21;
+  config.sim_clock = &sim;
+  config.default_link.latency = Micros(0);
+  config.flow.reopen_initial = kHold;
+  System system(config);
+  NodeRuntime& a = system.AddNode("a");
+  NodeRuntime& b = system.AddNode("b");
+  a.RegisterGuardianType("shell", MakeFactory<ShellGuardian>());
+  b.RegisterGuardianType("probe", MakeFactory<BudgetProbe>());
+  Guardian* caller = *a.Create<ShellGuardian>("shell", "caller", {});
+  BudgetProbe* server = *b.Create<BudgetProbe>("probe", "server", {});
+  const PortName target = server->ProvidedPorts()[0];
+  ASSERT_TRUE(system.WaitQuiescent(Millis(2'000)));
+  sim.StopAutoStep();
+
+  a.flow().OnFullNack(target, /*queue_depth=*/64, /*capacity=*/64);
+  const size_t base_waiters = sim.WaiterCount();
+  const TimePoint t0 = a.clock().Now();
+  Result<RemoteReply> reply = Status(Code::kInternal, "not run");
+  Micros took{0};
+  std::atomic<bool> returned{false};
+  std::thread call([&] {
+    SetCurrentDeadlineAt(t0 + kInherited);
+    RemoteCallOptions options;
+    options.timeout = Micros(5'000'000);
+    reply = RemoteCall(*caller, target, "call", {Value::Int(6)},
+                       ProbeReplyType(), options);
+    took = std::chrono::duration_cast<Micros>(a.clock().Now() - t0);
+    returned = true;
+  });
+  // The call waits out the hold, then the request reaches the server with
+  // no virtual time passing (zero latency)...
+  ASSERT_TRUE(sim.WaitForWaiters(base_waiters + 1, kWallBudget));
+  sim.AdvanceTo(t0 + kHold);
+  const Micros seen = server->AwaitBudget();
+  // ...and nothing answers it before the inherited deadline. A call still
+  // waiting a wall second later overshoots D; auto-stepping lets it finish
+  // and fail the checks below.
+  sim.AdvanceTo(t0 + kInherited);
+  for (int ms = 0; ms < 1'000 && !returned; ++ms) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  sim.StartAutoStep();
+  call.join();
+
+  ASSERT_FALSE(reply.ok());
+  EXPECT_EQ(reply.status().code(), Code::kTimeout);
+  EXPECT_LE(took, kInherited);
+  EXPECT_GT(seen, Micros(0));
+  EXPECT_LE(seen, kInherited - kHold);
+  EXPECT_EQ(system.metrics().counter("flow.sends_deferred")->value(), 1u);
+  EXPECT_LT(Now() - wall_start, kWallBudget);
 }
 
 }  // namespace
