@@ -29,8 +29,9 @@
 # any failed op; its timings are not gated here. Skippable with
 # --skip-bench.
 #
-# Two grep lints run before everything: src/ and tests/ must read time
-# only through the §15 ClockSource seam, never raw std::chrono clocks; and
+# Three grep lints run before everything: src/ and tests/ must read time
+# only through the §15 ClockSource seam, never raw std::chrono clocks;
+# src/obs/ must not call the free wall-clock Now() either; and
 # within src/sendprims/ the inherited-deadline read, the flow-slot acquire
 # and the no-wait send each appear in exactly one file (the one attempt
 # path), so no primitive re-derives the per-attempt rules.
@@ -99,6 +100,17 @@ if grep -rn "std::chrono::steady_clock\|std::chrono::system_clock" \
   exit 1
 fi
 echo "lint ok: src/ and tests/ read time only through ClockSource"
+
+echo "==> lint: no free Now() in src/obs/"
+# The free Now() is the raw wall clock by another name. Telemetry stamps
+# must read the clock the system runs on, or trace gaps under virtual time
+# are wall-clock noise.
+if grep -rn --include='*.h' --include='*.cc' 'Now()' src/obs/ \
+     | grep -v -e '->Now()' -e '\.Now()'; then
+  echo "lint FAIL: src/obs/ calls the free wall-clock Now()" >&2
+  exit 1
+fi
+echo "lint ok: src/obs/ stamps on its ClockSource"
 
 echo "==> lint: one attempt path under the send ladder"
 # The §3 ladder's per-attempt rules (inherited deadline, flow slot, the

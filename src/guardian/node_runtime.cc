@@ -654,7 +654,7 @@ Status NodeRuntime::Transmit(Envelope env) {
   // Step 3: fragment and hand to the network. The sender continues as soon
   // as this returns; delivery is not guaranteed.
   system_->traces().Record(env.trace_id, id_, "send",
-                           env.command + " -> " + env.target.ToString());
+                           TraceDetail::CommandTo(env.command, env.target));
   // Every fragment carries this incarnation's session id: the receiver's
   // reassembler keys partials on it, so a post-restart reuse of a msg_id
   // can never complete a message begun by the previous incarnation.
@@ -730,11 +730,11 @@ void NodeRuntime::NoteReceived(const Received& message) {
   // message left on this thread, or its budget would leak into unrelated
   // nested sends.
   SetCurrentDeadlineAt(message.deadline_at);
-  system_->traces().Record(message.trace_id, id_, "recv",
-                           message.command +
-                               (message.port != nullptr
-                                    ? " on " + message.port->name().ToString()
-                                    : std::string()));
+  system_->traces().Record(
+      message.trace_id, id_, "recv",
+      TraceDetail::CommandOn(message.command, message.port != nullptr
+                                                  ? message.port->name()
+                                                  : PortName{}));
 }
 
 void NodeRuntime::DeliverPacket(Packet&& packet) {
@@ -1107,7 +1107,7 @@ void NodeRuntime::DispatchEnvelopes(std::vector<Envelope> envelopes,
       }
       counters_.delivered->Inc();
       system_->traces().Record(e.trace_id, id_, "port.enqueued",
-                               e.target.ToString());
+                               TraceDetail::Port(e.target));
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_.messages_delivered;
     }
@@ -1116,7 +1116,7 @@ void NodeRuntime::DispatchEnvelopes(std::vector<Envelope> envelopes,
 }
 
 void NodeRuntime::FinishUnroutable(const Envelope& env, DropKind kind) {
-  const char* trace_event = nullptr;
+  TracePoint trace_event = "port.drop.retired";
   const char* reason = nullptr;
   switch (kind) {
     case DropKind::kNoGuardian:
@@ -1144,7 +1144,7 @@ void NodeRuntime::FinishUnroutable(const Envelope& env, DropKind kind) {
       break;
   }
   system_->traces().Record(env.trace_id, id_, trace_event,
-                           env.target.ToString());
+                           TraceDetail::Port(env.target));
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     switch (kind) {
@@ -1168,7 +1168,7 @@ void NodeRuntime::FinishUnroutable(const Envelope& env, DropKind kind) {
 void NodeRuntime::FinishExpired(const Envelope& env) {
   counters_.expired_shed->Inc();
   system_->traces().Record(env.trace_id, id_, "deliver.expired.shed",
-                           env.command + " -> " + env.target.ToString());
+                           TraceDetail::CommandTo(env.command, env.target));
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.expired_shed;
@@ -1199,7 +1199,7 @@ void NodeRuntime::FinishExpiredAtDequeue(Received message) {
   }
   counters_.expired_dequeue->Inc();
   system_->traces().Record(message.trace_id, id_, "deliver.expired.queue",
-                           message.command);
+                           TraceDetail::CommandOn(message.command));
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.expired_dequeue;
@@ -1243,7 +1243,7 @@ void NodeRuntime::FinishPushFailed(const Envelope& env, const Port& port,
   }
   counters_.drop_port_full->Inc();
   system_->traces().Record(env.trace_id, id_, "port.drop.full",
-                           env.target.ToString());
+                           TraceDetail::Port(env.target));
   if (env.fc_full) {
     // The discarded envelope was itself a §11 fc_full nack and even the
     // control headroom could not admit it: the congestion signal is lost
@@ -1317,8 +1317,8 @@ void NodeRuntime::FinishSuppressed(const Envelope& env,
     reply.command = std::move(replay.command);
     reply.args = std::move(replay.args);
     system_->traces().Record(env.trace_id, id_, "dedup.replayed",
-                             reply.command + " -> " +
-                                 reply.target.ToString());
+                             TraceDetail::CommandTo(reply.command,
+                                                    reply.target));
     Status st = Transmit(std::move(reply));
     (void)st;
     counters_.dup_replayed->Inc();

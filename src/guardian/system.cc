@@ -13,6 +13,7 @@ System::System(SystemConfig config)
                  ? static_cast<const ClockSource*>(config.sim_clock)
                  : WallClock::Get()),
       rng_(config.seed),
+      traces_(clock_),
       network_(config.seed ^ 0xA5A5A5A5ull, &metrics_, &traces_,
                config.delivery_shards, config.delivery_batch_max, clock_) {
   network_.SetDefaultLink(config_.default_link);

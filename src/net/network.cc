@@ -56,7 +56,7 @@ void Network::Shutdown() {
     abandoned_holds = held_.size();
     stats_.packets_dropped += abandoned_holds;
     for (const InFlight& entry : held_) {
-      CountDrop(entry.packet, "holdback_shutdown");
+      CountDrop(entry.packet, "net.drop.holdback_shutdown");
     }
     held_.clear();
     held_pairs_.clear();
@@ -202,9 +202,9 @@ void Network::Send(Packet packet) {
         oneway_partitions_.count(LinkKey(packet.src, packet.dst)) > 0;
     if (!src_ok || partitioned || cut_oneway) {
       ++stats_.packets_dropped;
-      CountDrop(packet, !src_ok ? "src_down"
-                                : (partitioned ? "partition"
-                                               : "partition_oneway"));
+      CountDrop(packet, !src_ok        ? TracePoint("net.drop.src_down")
+                        : partitioned ? TracePoint("net.drop.partition")
+                                      : TracePoint("net.drop.partition_oneway"));
       return;
     }
 
@@ -220,7 +220,7 @@ void Network::Send(Packet packet) {
 
     if (rng_.NextBool(link.drop_prob)) {
       ++stats_.packets_dropped;
-      CountDrop(packet, "loss");
+      CountDrop(packet, "net.drop.loss");
       return;
     }
     if (!packet.payload.empty() && rng_.NextBool(link.corrupt_prob)) {
@@ -241,8 +241,7 @@ void Network::Send(Packet packet) {
       }
       if (traces_ != nullptr) {
         traces_->Record(packet.trace_id, 0, "net.corrupted",
-                        "n" + std::to_string(packet.src) + "->n" +
-                            std::to_string(packet.dst));
+                        TraceDetail::Link(packet.src, packet.dst));
       }
     }
 
@@ -277,10 +276,9 @@ void Network::Send(Packet packet) {
       }
       if (traces_ != nullptr) {
         traces_->Record(packet.trace_id, 0, "net.duplicated",
-                        "n" + std::to_string(packet.src) + "->n" +
-                            std::to_string(packet.dst) + " frag " +
-                            std::to_string(packet.frag_index + 1) + "/" +
-                            std::to_string(packet.frag_count));
+                        TraceDetail::Link(packet.src, packet.dst,
+                                          packet.frag_index,
+                                          packet.frag_count));
       }
       InFlight copy;
       copy.sent_at = entry.sent_at;
@@ -444,20 +442,18 @@ Network::LinkCounters* Network::CountersForLink(NodeId src, NodeId dst) {
   return &it->second;
 }
 
-void Network::CountDrop(const Packet& packet, const char* reason) {
+void Network::CountDrop(const Packet& packet, TracePoint point) {
   if (metrics_ != nullptr) {
-    metrics_->counter(std::string("net.drop.") + reason)->Inc();
+    metrics_->counter(point.name())->Inc();
     LinkCounters* link_counters = CountersForLink(packet.src, packet.dst);
     if (link_counters != nullptr) {
       link_counters->dropped->Inc();
     }
   }
   if (traces_ != nullptr) {
-    traces_->Record(packet.trace_id, 0, std::string("net.drop.") + reason,
-                    "n" + std::to_string(packet.src) + "->n" +
-                        std::to_string(packet.dst) + " frag " +
-                        std::to_string(packet.frag_index + 1) + "/" +
-                        std::to_string(packet.frag_count));
+    traces_->Record(packet.trace_id, 0, point,
+                    TraceDetail::Link(packet.src, packet.dst,
+                                      packet.frag_index, packet.frag_count));
   }
 }
 
@@ -563,23 +559,25 @@ void Network::DeliverGroup(Shard& shard, NodeId dst,
         if (link_counters != nullptr) {
           link_counters->delivered->Inc();
         }
-        if (traces_ != nullptr) {
-          traces_->Record(entry.packet.trace_id, 0, "net.delivered",
-                          "n" + std::to_string(entry.packet.src) + "->n" +
-                              std::to_string(dst) + " frag " +
-                              std::to_string(entry.packet.frag_index + 1) +
-                              "/" + std::to_string(entry.packet.frag_count));
-        }
         deliverable.push_back(std::move(entry.packet));
       }
     } else {
       stats_.packets_dropped += group.size();
       for (const InFlight& entry : group) {
-        CountDrop(entry.packet, "dst_down");
+        CountDrop(entry.packet, "net.drop.dst_down");
       }
     }
   }
   if (sink) {
+    // Recorded outside mu_, which every Send takes, and before the sink
+    // runs, so each packet's net.delivered still precedes its port hop.
+    if (traces_ != nullptr) {
+      for (const Packet& packet : deliverable) {
+        traces_->Record(packet.trace_id, 0, "net.delivered",
+                        TraceDetail::Link(packet.src, dst, packet.frag_index,
+                                          packet.frag_count));
+      }
+    }
     if (shard.delivered != nullptr) {
       shard.delivered->Inc(deliverable.size());
     }

@@ -271,7 +271,7 @@ class Network {
   void FinishMany(uint64_t n);
   // Requires mu_ held (names the link by node names).
   LinkCounters* CountersForLink(NodeId src, NodeId dst);
-  void CountDrop(const Packet& packet, const char* reason);
+  void CountDrop(const Packet& packet, TracePoint point);
 
   // Enqueue one decided entry onto its destination shard (wake-coalesced);
   // the in-flight count must already cover it.

@@ -13,6 +13,11 @@
 // thread has no active trace). This matches the process model — a guardian
 // process handles one message at a time — and costs nothing on the wire
 // beyond the 8-byte envelope field.
+//
+// Recording is on every message's path, so a hop event is stored as the
+// raw fields its caller already holds (a static point name, node ids,
+// fragment numbers, a port name, the command in an inline buffer) and is
+// formatted to text only when the trace is read.
 #ifndef GUARDIANS_SRC_OBS_TRACE_H_
 #define GUARDIANS_SRC_OBS_TRACE_H_
 
@@ -21,10 +26,12 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "src/common/clock.h"
+#include "src/value/port_name.h"
 
 namespace guardians {
 
@@ -45,9 +52,56 @@ void SetCurrentTraceId(uint64_t id);
 TimePoint CurrentDeadlineAt();
 void SetCurrentDeadlineAt(TimePoint at);
 
-// One hop event. `node` is the node that observed the event (0 for the
-// network itself). `point` identifies the layer and outcome, e.g. "send",
-// "net.drop.loss", "port.drop.retired", "recv".
+// The layer and outcome of a hop, e.g. "send", "net.drop.loss",
+// "port.drop.retired", "recv". Only a string literal converts to one (the
+// conversion runs at compile time), so a stored event keeps the pointer.
+class TracePoint {
+ public:
+  consteval TracePoint(const char* name) : name_(name) {}
+  const char* name() const { return name_; }
+
+ private:
+  const char* name_;
+};
+
+// What a hop event says beyond its point, as the fields the caller holds.
+// A free-text note (drop reasons, chaos.*, supervisor.*, flow.*) converts
+// implicitly; the hot hops use the numeric shapes, which format on read.
+class TraceDetail {
+ public:
+  TraceDetail() = default;
+  TraceDetail(std::string note)
+      : shape_(Shape::kNote), note_(std::move(note)) {}
+  TraceDetail(const char* note) : TraceDetail(std::string(note)) {}
+
+  // "n1->n2", or "n1->n2 frag 1/2" when frag_count is nonzero.
+  static TraceDetail Link(uint32_t src, uint32_t dst,
+                          uint32_t frag_index = 0, uint32_t frag_count = 0);
+  // "port(n2/g1.0)".
+  static TraceDetail Port(const PortName& port);
+  // "put -> port(n2/g1.0)".
+  static TraceDetail CommandTo(std::string_view command, const PortName& to);
+  // "put on port(n2/g1.0)", or "put" alone when `on` is null.
+  static TraceDetail CommandOn(std::string_view command,
+                               const PortName& on = PortName{});
+
+ private:
+  friend class TraceBuffer;
+  enum class Shape : uint8_t { kNone, kNote, kLink, kPort, kCommandTo,
+                               kCommandOn };
+
+  Shape shape_ = Shape::kNone;
+  uint32_t src_ = 0;
+  uint32_t dst_ = 0;
+  uint32_t frag_index_ = 0;
+  uint32_t frag_count_ = 0;
+  PortName port_;
+  std::string_view command_;  // the caller's; copied only when stored
+  std::string note_;
+};
+
+// One hop event as read back. `node` is the node that observed the event
+// (0 for the network itself).
 struct TraceEvent {
   TimePoint at;
   uint32_t node = 0;
@@ -55,20 +109,22 @@ struct TraceEvent {
   std::string detail;
 };
 
-// Bounded, thread-safe store of per-trace event lists. When the trace cap
-// is hit the oldest trace is evicted; when one trace's event cap is hit
-// further events for it are counted but not stored (the dump says so).
+// Bounded, thread-safe store of per-trace event lists, stamped on the
+// clock the system runs on. When the trace cap is hit the oldest trace is
+// evicted; when one trace's event cap is hit further events for it are
+// counted but not stored (the dump says so).
 class TraceBuffer {
  public:
-  explicit TraceBuffer(size_t max_traces = 4096,
+  explicit TraceBuffer(const ClockSource* clock = WallClock::Get(),
+                       size_t max_traces = 4096,
                        size_t max_events_per_trace = 256);
 
   TraceBuffer(const TraceBuffer&) = delete;
   TraceBuffer& operator=(const TraceBuffer&) = delete;
 
   // No-op when trace_id is 0 (untraced message).
-  void Record(uint64_t trace_id, uint32_t node, std::string point,
-              std::string detail = std::string());
+  void Record(uint64_t trace_id, uint32_t node, TracePoint point,
+              TraceDetail detail = TraceDetail());
 
   // Human-readable hop-by-hop dump; timestamps relative to the first event.
   std::string DumpTrace(uint64_t trace_id) const;
@@ -87,11 +143,35 @@ class TraceBuffer {
   void Clear();
 
  private:
+  // A stored event: fixed-size, no heap of its own. Which fields mean
+  // something depends on `shape`.
+  struct Hop {
+    TimePoint at;
+    const char* point = nullptr;
+    uint32_t node = 0;
+    uint32_t src = 0;
+    uint32_t dst = 0;
+    uint32_t frag_index = 0;
+    uint32_t frag_count = 0;
+    uint32_t port_node = 0;
+    uint32_t port_index = 0;
+    uint32_t note = 0;  // index into Trace::notes
+    uint64_t port_guardian = 0;
+    TraceDetail::Shape shape = TraceDetail::Shape::kNone;
+    uint8_t command_size = 0;
+    char command[22];
+  };
   struct Trace {
-    std::vector<TraceEvent> events;
+    std::vector<Hop> hops;
+    std::vector<std::string> notes;
     uint64_t suppressed = 0;  // events beyond max_events_per_trace_
   };
 
+  // The event's detail text; `command` overrides the inline one.
+  static std::string FormatDetail(const Hop& hop, const Trace& trace,
+                                  std::string_view command = {});
+
+  const ClockSource* clock_;
   mutable std::mutex mu_;
   const size_t max_traces_;
   const size_t max_events_per_trace_;

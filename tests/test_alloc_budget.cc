@@ -21,6 +21,7 @@
 
 #include "src/common/buffer.h"
 #include "src/guardian/system.h"
+#include "src/obs/trace.h"
 #include "src/sendprims/remote_call.h"
 #include "src/wire/envelope.h"
 #include "src/wire/packet.h"
@@ -185,13 +186,14 @@ TEST(AllocBudgetTest, RemoteCallRoundTripIsPinned) {
   // port, the flow slot, the tracked send (type check, encode, fragment,
   // hand-off to the network) and the receive of the reply. Delivery and
   // the server run on other threads and are not counted. Pinned at the
-  // count measured once the single-port Receive stopped building a vector
-  // and the last attempt began handing its arguments to the send instead
-  // of copying them: 10. Recycling retired reply ports had brought it to
-  // 13; with a fresh Port per call (its PortType, its deque and a type
-  // registration rendering two canonical strings) the same round trip
-  // made 26.
-  constexpr uint64_t kPinned = 10;
+  // count measured once the send and recv trace hops stopped formatting
+  // their detail strings: 8. Before that it was 10, once the single-port
+  // Receive stopped building a vector and the last attempt began handing
+  // its arguments to the send instead of copying them. Recycling retired
+  // reply ports had brought it to 13; with a fresh Port per call (its
+  // PortType, its deque and a type registration rendering two canonical
+  // strings) the same round trip made 26.
+  constexpr uint64_t kPinned = 8;
 
   SystemConfig config;
   config.seed = 5;
@@ -247,6 +249,52 @@ TEST(AllocBudgetTest, RemoteCallRoundTripIsPinned) {
   EXPECT_LE(most, kPinned)
       << "a steady-state RemoteCall round trip allocated " << most
       << " times on the calling thread; pinned at " << kPinned;
+}
+
+TEST(AllocBudgetTest, HopTraceRecordAllocatesNothing) {
+  // Once a trace exists, recording a hop is a few stores: the hot points
+  // pass raw fields (node ids, fragment numbers, a port name, the command)
+  // and nothing is formatted until the trace is read. A saturated trace
+  // only counts what it no longer stores.
+  TraceBuffer traces;
+  const PortName server{2, 2, 0, 0xABCD};
+  const PortName client{1, 2, 0, 0xBCDE};
+  const std::string put = "put";
+  const std::string got = "got";
+  traces.Record(7, 1, "send", TraceDetail::CommandTo(put, server));
+  traces.Record(8, 1, "send", TraceDetail::CommandTo(put, server));
+  for (int i = 1; i < 256; ++i) {  // trace 8 reaches the event cap
+    traces.Record(8, 0, "net.delivered", TraceDetail::Link(1, 2, 0, 1));
+  }
+
+  auto round_trip = [&](uint64_t trace) {
+    traces.Record(trace, 0, "net.delivered", TraceDetail::Link(1, 2, 0, 2));
+    traces.Record(trace, 0, "net.delivered", TraceDetail::Link(1, 2, 1, 2));
+    traces.Record(trace, 2, "port.enqueued", TraceDetail::Port(server));
+    traces.Record(trace, 2, "recv", TraceDetail::CommandOn(put, server));
+    traces.Record(trace, 2, "send", TraceDetail::CommandTo(got, client));
+    traces.Record(trace, 0, "net.delivered", TraceDetail::Link(2, 1, 0, 1));
+    traces.Record(trace, 1, "port.enqueued", TraceDetail::Port(client));
+    traces.Record(trace, 1, "recv", TraceDetail::CommandOn(got, client));
+  };
+  uint64_t live = 0;
+  uint64_t saturated = 0;
+  {
+    AllocationMeter meter;
+    round_trip(7);
+    live = meter.Stop();
+  }
+  {
+    AllocationMeter meter;
+    round_trip(8);
+    saturated = meter.Stop();
+  }
+  EXPECT_EQ(live, 0u) << "8 hop records into a live trace allocated";
+  EXPECT_EQ(saturated, 0u) << "8 hop records into a full trace allocated";
+  EXPECT_EQ(traces.Events(7).size(), 9u);
+  EXPECT_EQ(traces.suppressed_events(), 8u);
+  EXPECT_NE(traces.DumpTrace(7).find("recv  got on port(n1/g2.0)"),
+            std::string::npos);
 }
 
 }  // namespace

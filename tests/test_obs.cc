@@ -4,6 +4,8 @@
 // NodeName dangling-reference regression.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <regex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -13,6 +15,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/sendprims/reliable_send.h"
+#include "src/sendprims/remote_call.h"
 
 namespace guardians {
 namespace {
@@ -97,6 +100,23 @@ TEST(Trace, RecordAndDump) {
   ASSERT_TRUE(found.has_value());
   EXPECT_EQ(*found, 7u);
   EXPECT_FALSE(traces.FindTraceWithPoint("port.drop.").has_value());
+}
+
+// A command too long for an event's inline field reads back exactly as a
+// short one would; free text and the numeric shapes mix in one trace.
+TEST(Trace, LongCommandReadsBackWhole) {
+  TraceBuffer traces;
+  const std::string command(40, 'c');
+  const PortName to{2, 5, 1, 0};
+  traces.Record(9, 1, "send", TraceDetail::CommandTo(command, to));
+  traces.Record(9, 0, "net.drop.loss", TraceDetail::Link(1, 2, 2, 3));
+  traces.Record(9, 2, "port.drop.corrupt_fragment", "bad crc");
+  const std::vector<TraceEvent> events = traces.Events(9);
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(events[0].point, "send");
+  EXPECT_EQ(events[0].detail, command + " -> port(n2/g5.1)");
+  EXPECT_EQ(events[1].detail, "n1->n2 frag 3/3");
+  EXPECT_EQ(events[2].detail, "bad crc");
 }
 
 // ---------------------------------------------------------------------------
@@ -303,6 +323,152 @@ TEST_F(ObsSystemTest, TraceIdSurvivesFragmentationAndReplyHops) {
   EXPECT_EQ(recvs, 2);
   EXPECT_EQ(enqueued, 2);
   EXPECT_GE(delivered, 2);  // one per reassembled message, at least
+}
+
+// The dump a traced 2-fragment request and its reply print, with the
+// "+Nus" stamps stripped: the hop lines are pinned byte for byte, so a
+// change to how hop events are stored or formatted cannot alter what an
+// operator reads.
+TEST(TraceDump, HopDumpTextIsPinned) {
+  SystemConfig config;
+  config.seed = 11;
+  config.default_link.latency = Micros(50);
+  config.limits.max_packet_payload = 256;
+  System system(config);
+  NodeRuntime& a = system.AddNode("a");
+  NodeRuntime& b = system.AddNode("b");
+  for (NodeRuntime* node : {&a, &b}) {
+    node->RegisterGuardianType("shell", MakeFactory<ShellGuardian>());
+  }
+  ShellGuardian* sender = *a.Create<ShellGuardian>("shell", "sender", {});
+  ShellGuardian* receiver = *b.Create<ShellGuardian>("shell", "receiver", {});
+  Port* target = receiver->AddPort(EchoPortType(), 8);
+  Port* reply_port = sender->AddPort(EchoReplyType(), 8);
+
+  SetCurrentTraceId(0);
+  // Two fragments at max_packet_payload = 256; the reply fits in one.
+  auto sent = sender->SendFull(target->name(), "put",
+                               {Value::Str(std::string(200, 'x'))},
+                               reply_port->name(), PortName{});
+  ASSERT_TRUE(sent.ok());
+  const uint64_t trace = *sent;
+  system.network().DrainForTesting();
+  SetCurrentTraceId(0);
+  auto request = receiver->Receive(target, Millis(2000));
+  ASSERT_TRUE(request.ok());
+  ASSERT_TRUE(
+      receiver->Send(request->reply_to, "got", {Value::Str("ok")}).ok());
+  system.network().DrainForTesting();
+  SetCurrentTraceId(0);
+  ASSERT_TRUE(sender->Receive(reply_port, Millis(2000)).ok());
+  system.network().DrainForTesting();
+
+  const std::string dump = std::regex_replace(
+      system.traces().DumpTrace(trace), std::regex("  \\+[0-9]+us"), "");
+  const std::string header = "trace " + std::to_string(trace) + ":\n";
+  ASSERT_EQ(dump.substr(0, header.size()), header);
+  EXPECT_EQ(dump.substr(header.size()),
+            "  n1  send  put -> port(n2/g2.0)\n"
+            "  net  net.delivered  n1->n2 frag 1/2\n"
+            "  net  net.delivered  n1->n2 frag 2/2\n"
+            "  n2  port.enqueued  port(n2/g2.0)\n"
+            "  n2  recv  put on port(n2/g2.0)\n"
+            "  n2  send  got -> port(n1/g2.0)\n"
+            "  net  net.delivered  n2->n1 frag 1/1\n"
+            "  n1  port.enqueued  port(n1/g2.0)\n"
+            "  n1  recv  got on port(n1/g2.0)\n");
+}
+
+// Trace stamps read the clock the system runs on. Under hand-stepped
+// virtual time with link latency L, a traced RemoteCall's hops land on
+// exact virtual instants (t0, t0 + L, t0 + 2L) and its first send to its
+// last receive spans exactly one round trip, 2L.
+TEST(TraceClock, RemoteCallHopStampsAreExactVirtualInstants) {
+  constexpr Micros kLink(700);
+  SimulatedClock sim;
+  sim.StartAutoStep();
+  SystemConfig config;
+  config.seed = 21;
+  config.sim_clock = &sim;
+  config.default_link.latency = kLink;
+  System system(config);
+  NodeRuntime& a = system.AddNode("a");
+  NodeRuntime& b = system.AddNode("b");
+  for (NodeRuntime* node : {&a, &b}) {
+    node->RegisterGuardianType("shell", MakeFactory<ShellGuardian>());
+  }
+  Guardian* client = *a.Create<ShellGuardian>("shell", "client", {});
+  Guardian* server = *b.Create<ShellGuardian>("shell", "server", {});
+  Port* in = server->AddPort(EchoPortType(), 8, /*provided=*/true);
+  const PortName server_port = in->name();
+  server->Fork("echo", [server, in] {
+    for (;;) {
+      auto m = server->Receive(in, Micros::max());
+      if (!m.ok()) {
+        return;
+      }
+      (void)server->Send(m->reply_to, "got", std::move(m->args));
+    }
+  });
+  ASSERT_TRUE(system.WaitQuiescent(Millis(2'000)));
+  // From here virtual time moves only when the test steps it.
+  sim.StopAutoStep();
+
+  const TimePoint t0 = sim.Now();
+  const uint64_t sent_before = system.network().stats().packets_sent;
+  constexpr Micros kCallTimeout(60'000'000);
+  uint64_t trace = 0;
+  bool replied = false;
+  std::atomic<bool> done{false};
+  std::thread caller([&] {
+    SetCurrentTraceId(0);
+    RemoteCallOptions options;
+    options.timeout = kCallTimeout;
+    options.max_attempts = 1;
+    replied = RemoteCall(*client, server_port, "put", {Value::Str("x")},
+                         EchoReplyType(), options)
+                  .ok();
+    trace = CurrentTraceId();
+    done = true;
+  });
+  // Step one link latency each time a packet goes on the wire: the
+  // request, then the reply.
+  uint64_t stepped = sent_before;
+  const TimePoint give_up = Now() + Millis(10'000);
+  while (!done && Now() < give_up) {
+    if (system.network().stats().packets_sent > stepped) {
+      ++stepped;
+      sim.Advance(kLink);
+    } else {
+      std::this_thread::sleep_for(Micros(100));
+    }
+  }
+  if (!done) {
+    sim.Advance(kCallTimeout);  // let a stuck call time out, then fail
+  }
+  caller.join();
+  system.network().DrainForTesting();
+  ASSERT_TRUE(replied);
+  EXPECT_EQ(stepped, sent_before + 2);
+
+  std::vector<TraceEvent> events = system.traces().Events(trace);
+  ASSERT_FALSE(events.empty());
+  std::vector<TimePoint> sends, recvs;
+  for (const TraceEvent& event : events) {
+    EXPECT_TRUE(event.at == t0 || event.at == t0 + kLink ||
+                event.at == t0 + 2 * kLink)
+        << event.point << " stamped at t0 + " << ToMicros(event.at - t0)
+        << "us";
+    if (event.point == "send") sends.push_back(event.at);
+    if (event.point == "recv") recvs.push_back(event.at);
+  }
+  ASSERT_EQ(sends.size(), 2u);
+  ASSERT_EQ(recvs.size(), 2u);
+  EXPECT_EQ(sends[0], t0);
+  EXPECT_EQ(recvs[0], t0 + kLink);  // the server's receive
+  EXPECT_EQ(recvs[1] - sends[0], 2 * kLink);
+  // Teardown joins the server process; let virtual time run for it.
+  sim.StartAutoStep();
 }
 
 // ---------------------------------------------------------------------------
