@@ -31,7 +31,7 @@
 #
 # Three grep lints run before everything: src/ and tests/ must read time
 # only through the §15 ClockSource seam, never raw std::chrono clocks;
-# src/obs/ must not call the free wall-clock Now() either; and
+# src/obs/ and src/fault/ must not call the free wall-clock Now() either; and
 # within src/sendprims/ the inherited-deadline read, the flow-slot acquire
 # and the no-wait send each appear in exactly one file (the one attempt
 # path), so no primitive re-derives the per-attempt rules.
@@ -101,16 +101,16 @@ if grep -rn "std::chrono::steady_clock\|std::chrono::system_clock" \
 fi
 echo "lint ok: src/ and tests/ read time only through ClockSource"
 
-echo "==> lint: no free Now() in src/obs/"
+echo "==> lint: no free Now() in src/obs/ or src/fault/"
 # The free Now() is the raw wall clock by another name. Telemetry stamps
-# must read the clock the system runs on, or trace gaps under virtual time
-# are wall-clock noise.
-if grep -rn --include='*.h' --include='*.cc' 'Now()' src/obs/ \
+# and the supervisor's recovery timings must read the clock the system
+# runs on, or they are wall-clock noise under virtual time.
+if grep -rn --include='*.h' --include='*.cc' 'Now()' src/obs/ src/fault/ \
      | grep -v -e '->Now()' -e '\.Now()'; then
-  echo "lint FAIL: src/obs/ calls the free wall-clock Now()" >&2
+  echo "lint FAIL: src/obs/ or src/fault/ calls the free wall-clock Now()" >&2
   exit 1
 fi
-echo "lint ok: src/obs/ stamps on its ClockSource"
+echo "lint ok: src/obs/ and src/fault/ stamp on their ClockSource"
 
 echo "==> lint: one attempt path under the send ladder"
 # The §3 ladder's per-attempt rules (inherited deadline, flow slot, the

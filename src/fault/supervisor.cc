@@ -181,9 +181,10 @@ void Supervisor::HandleDown(NodeId id, NodeRuntime& node) {
   // replays logs. Crash() first completes a crashpoint-initiated crash
   // whose FinishCrash nobody ran yet.
   node.Crash();
-  const TimePoint t0 = Now();
+  const TimePoint t0 = clock_->Now();
   Status restarted = node.Restart();
-  const uint64_t recovery_us = static_cast<uint64_t>(ToMicros(Now() - t0));
+  const uint64_t recovery_us = static_cast<uint64_t>(
+      std::max<int64_t>(ToMicros(clock_->Now() - t0), 0));
   if (!restarted.ok()) {
     // Tear the half-booted node back down before the next attempt.
     node.Crash();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 #include <thread>
 #include <utility>
 
@@ -46,10 +45,6 @@ constexpr char kDedupLogName[] = "node/dedup";
 // rather than to message volume.
 constexpr uint64_t kDedupCompactEvery = 512;
 
-// Sentinel for "this envelope carries no deadline budget" in the
-// per-batch remaining-budget vector (deadline_micros == 0 on the wire).
-constexpr int64_t kNoDeadlineRemaining =
-    std::numeric_limits<int64_t>::max();
 // The §3.4 failure text for a message shed because its propagated budget
 // was spent. SyncSend matches on the prefix to map the nack to kTimeout
 // (the sender's budget is gone — a port-full-style retry would be wasted
@@ -634,9 +629,11 @@ Status NodeRuntime::Transmit(Envelope env) {
   // analog of the paper's compile-time checking. The implicit failure
   // message is always legal.
   if (env.command != kFailureCommand) {
-    auto port_type = system_->port_types().Lookup(env.target.type_hash);
-    if (!port_type.ok()) {
-      return port_type.status();
+    const PortType* port_type =
+        system_->port_types().Lookup(env.target.type_hash);
+    if (port_type == nullptr) {
+      return Status(Code::kTypeError,
+                    "port type not in the guardian-header library");
     }
     GUARDIANS_RETURN_IF_ERROR(
         port_type->Check(env.command, env.args, env.HasReply()));
@@ -650,7 +647,10 @@ Status NodeRuntime::Transmit(Envelope env) {
   // If this send answers a tracked request, journal and cache it *before*
   // it can reach the wire: once the sender has seen the reply, the reply
   // must survive our crash, or a retry would re-execute the operation.
-  MaybeJournalReply(env);
+  // A request whose sender waits on a reply port, and the reply that
+  // closes a tracked call, are call traffic: the network may deliver them
+  // on this thread (DESIGN.md §8).
+  const bool call_traffic = MaybeJournalReply(env) || env.HasReply();
   // Step 3: fragment and hand to the network. The sender continues as soon
   // as this returns; delivery is not guaranteed.
   system_->traces().Record(env.trace_id, id_, "send",
@@ -662,7 +662,7 @@ Status NodeRuntime::Transmit(Envelope env) {
                           system_->limits().max_packet_payload, env.trace_id,
                           SendSession());
   for (auto& packet : packets) {
-    system_->network().Send(std::move(packet));
+    system_->network().Send(std::move(packet), call_traffic);
   }
   counters_.sent->Inc();
   {
@@ -737,12 +737,6 @@ void NodeRuntime::NoteReceived(const Received& message) {
                                                   : PortName{}));
 }
 
-void NodeRuntime::DeliverPacket(Packet&& packet) {
-  std::vector<Packet> batch;
-  batch.push_back(std::move(packet));
-  DeliverBatch(std::move(batch));
-}
-
 void NodeRuntime::DeliverBatch(std::vector<Packet>&& batch) {
   if (!up_.load() || batch.empty()) {
     return;
@@ -753,10 +747,16 @@ void NodeRuntime::DeliverBatch(std::vector<Packet>&& batch) {
   // incarnation sweeps run inside Add; their counters are mirrored into
   // the metrics registry by delta while the lock is still held.
   // Completed messages are slices sharing their sender's encode buffer —
-  // reassembly completion was at most one gather, usually none.
-  std::vector<BufferSlice> completed;
-  std::vector<uint64_t> completed_traces;
-  std::vector<int64_t> completed_ages;
+  // reassembly completion was at most one gather, usually none. The
+  // per-batch vectors are members reused across batches: the network runs
+  // one node's sink at a time, and an inline delivery runs on the sender's
+  // thread, where an allocation is paid inside the sender's call.
+  std::vector<BufferSlice>& completed = delivery_.completed;
+  std::vector<uint64_t>& completed_traces = delivery_.traces;
+  std::vector<int64_t>& completed_ages = delivery_.ages;
+  completed.clear();
+  completed_traces.clear();
+  completed_ages.clear();
   const TimePoint node_now = clock_->Now();
   {
     std::lock_guard<std::mutex> lock(reassembler_mu_);
@@ -797,10 +797,10 @@ void NodeRuntime::DeliverBatch(std::vector<Packet>&& batch) {
   // network age the hop observed — the §16 per-hop decrement, computed
   // entirely from relative quantities so clock skew cannot inflate or
   // deflate it.
-  std::vector<Envelope> envelopes;
-  std::vector<int64_t> remaining_micros;
-  envelopes.reserve(completed.size());
-  remaining_micros.reserve(completed.size());
+  std::vector<Envelope>& envelopes = delivery_.envelopes;
+  std::vector<int64_t>& remaining_micros = delivery_.remaining_micros;
+  envelopes.clear();
+  remaining_micros.clear();
   for (size_t i = 0; i < completed.size(); ++i) {
     auto env = DecodeEnvelope(completed[i], system_->limits(),
                               transmit_registry_.AsDecodeFn());
@@ -838,6 +838,7 @@ void NodeRuntime::DeliverBatch(std::vector<Packet>&& batch) {
                   std::max<int64_t>(completed_ages[i], 1));
     envelopes.push_back(std::move(decoded));
   }
+  completed.clear();  // release the payload buffers before dispatch
   if (envelopes.empty()) {
     return;
   }
@@ -848,7 +849,7 @@ void NodeRuntime::DeliverBatch(std::vector<Packet>&& batch) {
   // dead port still delivers its credit). All packets for this node go
   // through one shard, so feedback is applied in deterministic order.
   ApplyFlowFeedback(envelopes);
-  DispatchEnvelopes(std::move(envelopes), std::move(remaining_micros));
+  DispatchEnvelopes();
 }
 
 void NodeRuntime::ApplyFlowFeedback(const std::vector<Envelope>& envelopes) {
@@ -899,33 +900,18 @@ void NodeRuntime::ApplyFlowFeedback(const std::vector<Envelope>& envelopes) {
   }
 }
 
-void NodeRuntime::DispatchEnvelopes(std::vector<Envelope> envelopes,
-                                    std::vector<int64_t> remaining_micros) {
-  enum class Action : uint8_t { kPush, kFail, kSuppress, kExpired };
-  struct Plan {
-    Envelope env;
-    Port* port = nullptr;
-    bool control = false;
-    Action action = Action::kPush;
-    DropKind drop_kind = DropKind::kNoGuardian;  // when action == kFail
-    // Deadline budget left after the network hop (kNoDeadlineRemaining =
-    // unbudgeted); stamps Received::deadline_at on push.
-    int64_t remaining_micros = kNoDeadlineRemaining;
-    // Dedup-gate verdict (when action == kSuppress).
-    DedupTable::Verdict verdict = DedupTable::Verdict::kFresh;
-    DedupTable::CachedReply replay;
-    bool original_acked = false;
-  };
-
+void NodeRuntime::DispatchEnvelopes() {
+  std::vector<Envelope>& envelopes = delivery_.envelopes;
+  std::vector<int64_t>& remaining_micros = delivery_.remaining_micros;
   // Resolution pass: look each target up, no side effects yet — failure
   // replies wait for the dedup gate, because a duplicate whose target has
   // since retired or been destroyed must be answered (or silently
   // absorbed) as a duplicate, not failure-messaged, exactly as the
   // per-packet path ordered its checks.
-  std::vector<Plan> plans;
-  plans.reserve(envelopes.size());
+  std::vector<Plan>& plans = delivery_.plans;
+  plans.clear();
   for (size_t n = 0; n < envelopes.size(); ++n) {
-    Plan plan;
+    Plan& plan = plans.emplace_back();
     plan.env = std::move(envelopes[n]);
     plan.remaining_micros = remaining_micros[n];
     const Envelope& e = plan.env;
@@ -965,8 +951,8 @@ void NodeRuntime::DispatchEnvelopes(std::vector<Envelope> envelopes,
       // signal itself and carry no work worth shedding.
       plan.action = Action::kExpired;
     }
-    plans.push_back(std::move(plan));
   }
+  envelopes.clear();
 
   // At-most-once gate: ONE dedup-lock round-trip classifies and marks
   // every tracked envelope of the batch, in batch order — so the second
@@ -1070,8 +1056,8 @@ void NodeRuntime::DispatchEnvelopes(std::vector<Envelope> envelopes,
            plans[end].control == plan.control) {
       ++end;
     }
-    std::vector<Received> run;
-    run.reserve(end - i);
+    std::vector<Received>& run = delivery_.run;
+    run.clear();
     for (size_t k = i; k < end; ++k) {
       Envelope& e = plans[k].env;
       Received message;
@@ -1092,9 +1078,9 @@ void NodeRuntime::DispatchEnvelopes(std::vector<Envelope> envelopes,
       }
       run.push_back(std::move(message));
     }
-    const std::vector<Port::PushOutcome> outcomes =
-        plan.port->PushBatch(std::move(run), plan.env.target.port_index,
-                             plan.control);
+    std::vector<Port::PushOutcome>& outcomes = delivery_.outcomes;
+    plan.port->PushBatch(run, plan.env.target.port_index, plan.control,
+                         outcomes);
     for (size_t k = i; k < end; ++k) {
       const Port::PushOutcome& outcome = outcomes[k - i];
       const Envelope& e = plans[k].env;
@@ -1113,6 +1099,7 @@ void NodeRuntime::DispatchEnvelopes(std::vector<Envelope> envelopes,
     }
     i = end;
   }
+  plans.clear();
 }
 
 void NodeRuntime::FinishUnroutable(const Envelope& env, DropKind kind) {
@@ -1383,14 +1370,14 @@ void NodeRuntime::SetDedupSweepOnLocalClockForTesting(bool local) {
   g_dedup_sweep_local_clock.store(local, std::memory_order_relaxed);
 }
 
-void NodeRuntime::MaybeJournalReply(const Envelope& env) {
+bool NodeRuntime::MaybeJournalReply(const Envelope& env) {
   PendingReply pending;
   uint64_t high_water = 0;
   {
     std::lock_guard<std::mutex> lock(dedup_mu_);
     auto it = pending_replies_.find(env.target);
     if (it == pending_replies_.end()) {
-      return;
+      return false;
     }
     pending = it->second;
     pending_replies_.erase(it);
@@ -1462,6 +1449,7 @@ void NodeRuntime::MaybeJournalReply(const Envelope& env) {
   }
   std::lock_guard<std::mutex> lock(stats_mu_);
   ++stats_.replies_journaled;
+  return true;
 }
 
 Status NodeRuntime::RecoverDedup() {

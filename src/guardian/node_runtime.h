@@ -23,6 +23,7 @@
 
 #include <atomic>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -243,22 +244,19 @@ class NodeRuntime {
   // batch, one mailbox acquisition + receiver wake per run of same-port
   // envelopes, and per-port flow credit coalesced into one window update.
   void DeliverBatch(std::vector<Packet>&& batch);
-  // Convenience wrapper: a batch of one (tests and standalone callers).
-  void DeliverPacket(Packet&& packet);
   // Consume the batch's piggybacked flow feedback in arrival order,
   // coalescing each port's credit run into one OnCreditBatch and flushing
   // a port's run before any nack for that port (per-port order is the only
   // order a window can observe).
   void ApplyFlowFeedback(const std::vector<Envelope>& envelopes);
-  // Route every decoded envelope of one batch: resolve targets, shed
-  // already-expired envelopes (before the dedup gate — an expired arrival
-  // is never marked seen), run the one-acquisition dedup gate, then
-  // execute pushes / failure replies / duplicate suppressions in batch
-  // order. `remaining_micros` parallels `envelopes`: the per-envelope
-  // deadline budget left after subtracting observed network age
-  // (kNoDeadlineRemaining = unbudgeted).
-  void DispatchEnvelopes(std::vector<Envelope> envelopes,
-                         std::vector<int64_t> remaining_micros);
+  // Route every decoded envelope of one batch (delivery_.envelopes):
+  // resolve targets, shed already-expired envelopes (before the dedup gate
+  // — an expired arrival is never marked seen), run the one-acquisition
+  // dedup gate, then execute pushes / failure replies / duplicate
+  // suppressions in batch order. delivery_.remaining_micros parallels the
+  // envelopes: the per-envelope deadline budget left after subtracting
+  // observed network age (kNoDeadlineRemaining = unbudgeted).
+  void DispatchEnvelopes();
   Result<Guardian*> CreateGuardianImpl(const std::string& type_name,
                                        const std::string& guardian_name,
                                        const ValueList& args, bool persistent);
@@ -274,8 +272,8 @@ class NodeRuntime {
   void PersistNextId();
   // If `env` answers a pending tracked request, journal it through the
   // dedup Wal (before it reaches the network — log-then-reply) and cache
-  // it for replay. Runs on the replying guardian's thread.
-  void MaybeJournalReply(const Envelope& env);
+  // it for replay; true iff it did. Runs on the replying guardian's thread.
+  bool MaybeJournalReply(const Envelope& env);
   // Rebuild the dedup table from the journal at boot.
   Status RecoverDedup();
   // Why a resolution failed; names the drop bucket and failure text.
@@ -285,6 +283,26 @@ class NodeRuntime {
     kNoPort,
     kTypeMismatch,
     kRetired,
+  };
+  // Sentinel for "this envelope carries no deadline budget" in the
+  // per-batch remaining budgets (deadline_micros == 0 on the wire).
+  static constexpr int64_t kNoDeadlineRemaining =
+      std::numeric_limits<int64_t>::max();
+  // One envelope's fate in DispatchEnvelopes.
+  enum class Action : uint8_t { kPush, kFail, kSuppress, kExpired };
+  struct Plan {
+    Envelope env;
+    Port* port = nullptr;
+    bool control = false;
+    Action action = Action::kPush;
+    DropKind drop_kind = DropKind::kNoGuardian;  // when action == kFail
+    // Deadline budget left after the network hop (kNoDeadlineRemaining =
+    // unbudgeted); stamps Received::deadline_at on push.
+    int64_t remaining_micros = kNoDeadlineRemaining;
+    // Dedup-gate verdict (when action == kSuppress).
+    DedupTable::Verdict verdict = DedupTable::Verdict::kFresh;
+    DedupTable::CachedReply replay;
+    bool original_acked = false;
   };
   // Count/trace an unroutable envelope and send its failure(...) reply.
   void FinishUnroutable(const Envelope& env, DropKind kind);
@@ -364,6 +382,20 @@ class NodeRuntime {
   // are needed; never held while touching a mailbox or the network.
   std::mutex dedup_log_mu_;
   uint64_t dedup_appends_since_compact_ = 0;  // guarded by dedup_log_mu_
+
+  // DeliverBatch's per-batch vectors, kept for their capacity. Unguarded:
+  // the network never runs one node's sink concurrently with itself.
+  struct DeliveryScratch {
+    std::vector<BufferSlice> completed;
+    std::vector<uint64_t> traces;
+    std::vector<int64_t> ages;
+    std::vector<Envelope> envelopes;
+    std::vector<int64_t> remaining_micros;
+    std::vector<Plan> plans;
+    std::vector<Received> run;
+    std::vector<Port::PushOutcome> outcomes;
+  };
+  DeliveryScratch delivery_;
 
   mutable std::mutex stats_mu_;
   NodeStats stats_;

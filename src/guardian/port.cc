@@ -41,10 +41,9 @@ PushResult Port::Push(Received&& message, bool control) {
   return out.result;
 }
 
-std::vector<Port::PushOutcome> Port::PushBatch(
-    std::vector<Received>&& messages, uint32_t target_index, bool control) {
-  std::vector<PushOutcome> outcomes;
-  outcomes.reserve(messages.size());
+void Port::PushBatch(std::vector<Received>& messages, uint32_t target_index,
+                     bool control, std::vector<PushOutcome>& outcomes) {
+  outcomes.clear();
   bool any_ok = false;
   {
     std::lock_guard<std::mutex> lock(mailbox_->mu);
@@ -52,7 +51,7 @@ std::vector<Port::PushOutcome> Port::PushBatch(
       // Addressed to a retired name whose object was reused meanwhile. Not
       // counted in this port's discards: they belong to its current name.
       outcomes.resize(messages.size(), PushOutcome{PushResult::kRetired});
-      return outcomes;
+      return;
     }
     for (Received& message : messages) {
       outcomes.push_back(PushLocked(std::move(message), control));
@@ -62,7 +61,6 @@ std::vector<Port::PushOutcome> Port::PushBatch(
   if (any_ok) {
     mailbox_->cv.notify_all();
   }
-  return outcomes;
 }
 
 bool Port::Retire() {

@@ -126,10 +126,11 @@ class Port {
   // outcomes are exactly what per-message pushes would have produced.
   // `target_index` is the port index the messages were addressed to: if
   // the port has since been renamed, every message is refused as kRetired
-  // (it was sent to a name that no longer lives here).
-  std::vector<PushOutcome> PushBatch(std::vector<Received>&& messages,
-                                     uint32_t target_index,
-                                     bool control = false);
+  // (it was sent to a name that no longer lives here). The messages are
+  // moved out; `outcomes` is overwritten, one per message (both vectors
+  // keep their storage, so a caller reusing them allocates nothing here).
+  void PushBatch(std::vector<Received>& messages, uint32_t target_index,
+                 bool control, std::vector<PushOutcome>& outcomes);
 
   // Mark dead: no further pushes succeed, pending messages are dropped.
   // Used when an ephemeral reply port is retired. False if the port was

@@ -24,14 +24,10 @@ Status PortTypeRegistry::Register(const PortType& type) {
   return OkStatus();
 }
 
-Result<PortType> PortTypeRegistry::Lookup(uint64_t hash) const {
+const PortType* PortTypeRegistry::Lookup(uint64_t hash) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = types_.find(hash);
-  if (it == types_.end()) {
-    return Status(Code::kTypeError,
-                  "port type not in the guardian-header library");
-  }
-  return it->second;
+  return it == types_.end() ? nullptr : &it->second;
 }
 
 bool PortTypeRegistry::Knows(uint64_t hash) const {

@@ -9,7 +9,7 @@
 #include <mutex>
 #include <unordered_map>
 
-#include "src/common/result.h"
+#include "src/common/status.h"
 #include "src/value/port_type.h"
 
 namespace guardians {
@@ -21,7 +21,10 @@ class PortTypeRegistry {
   // corruption and fails.
   Status Register(const PortType& type);
 
-  Result<PortType> Lookup(uint64_t hash) const;
+  // The registered type, or null when the hash is unknown. Entries are
+  // never replaced or removed and map nodes do not move, so the pointer
+  // stays valid for the registry's lifetime.
+  const PortType* Lookup(uint64_t hash) const;
   bool Knows(uint64_t hash) const;
   size_t size() const;
 

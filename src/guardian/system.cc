@@ -4,6 +4,8 @@
 #include <thread>
 
 #include "src/common/buffer.h"
+#include "src/fault/crashpoint.h"
+#include "src/obs/trace.h"
 
 namespace guardians {
 
@@ -58,7 +60,7 @@ System::~System() {
     node->Crash();
   }
   // Then stop the delivery workers before the member destructors free the
-  // node runtimes: a sink call already in flight runs DeliverPacket on a
+  // node runtimes: a sink call already in flight runs DeliverBatch on a
   // raw NodeRuntime*, and nodes_ (declared after network_) is destroyed
   // first.
   network_.Shutdown();
@@ -73,7 +75,18 @@ NodeRuntime& System::AddNode(const std::string& name) {
     nodes_.push_back(std::move(runtime));
   }
   network_.SetBatchSink(id, [raw](std::vector<Packet>&& batch) {
+    // Inline call traffic runs this on the sender's thread. Deliver under
+    // the shard worker's context — no fault scope, no trace, no deadline —
+    // so crashpoint attribution and nested sends are the same on either
+    // thread, and hand the sender its own context back untouched.
+    ScopedFaultScope no_fault_scope(nullptr);
+    const uint64_t trace_id = CurrentTraceId();
+    const TimePoint deadline_at = CurrentDeadlineAt();
+    SetCurrentTraceId(0);
+    SetCurrentDeadlineAt(TimePoint::max());
     raw->DeliverBatch(std::move(batch));
+    SetCurrentTraceId(trace_id);
+    SetCurrentDeadlineAt(deadline_at);
   });
   Status booted = raw->Restart();
   assert(booted.ok());

@@ -74,14 +74,15 @@ FlowSlot FlowController::Acquire(const PortName& to, const Deadline& deadline) {
 
   const TimePoint started = clock_->Now();
   bool deferred = false;
+  auto admits = [&](const Entry& entry) {
+    return clock_->Now() >= entry.congested_until &&
+           static_cast<double>(entry.in_flight) < entry.window;
+  };
   for (;;) {
     // Re-look-up each iteration: a concurrent Reset() invalidates
     // references into entries_.
     Entry& entry = EntryFor(to);
-    const TimePoint now = clock_->Now();
-    const bool congested = now < entry.congested_until;
-    if (!congested &&
-        static_cast<double>(entry.in_flight) < entry.window) {
+    if (admits(entry)) {
       ++entry.in_flight;
       slot.controller_ = this;
       slot.to_ = to;
@@ -104,11 +105,16 @@ FlowSlot FlowController::Acquire(const PortName& to, const Deadline& deadline) {
                         "window closed for " + to.ToString());
       }
     }
-    // Wake when feedback arrives or — during a congested hold — when the
-    // hold elapses; always bounded by the caller's deadline.
+    // Wake when feedback opens the window or — during a congested hold —
+    // when the hold elapses; always bounded by the caller's deadline. A
+    // predicate wait: under a simulated clock the wait drops the lock to
+    // register, and feedback notified in that gap must not be lost.
     TimePoint wake = deadline.IsInfinite() ? TimePoint::max() : deadline.at();
-    if (congested) wake = std::min(wake, entry.congested_until);
-    clock_->WaitOnce(cv_, lock, wake);
+    if (clock_->Now() < entry.congested_until) {
+      wake = std::min(wake, entry.congested_until);
+    }
+    clock_->WaitUntil(cv_, lock, wake,
+                      [&] { return shutdown_ || admits(EntryFor(to)); });
     if (shutdown_) {
       slot.ok_ = true;  // unaccounted: the node is going down anyway
       break;

@@ -8,6 +8,13 @@
 
 namespace guardians {
 
+namespace {
+// Set while this thread runs a sink (on a worker or inline). A send made
+// from inside a delivery always goes through the shard heap: delivering it
+// in place would nest one node's sink inside another's.
+thread_local bool t_in_sink = false;
+}  // namespace
+
 Network::Network(uint64_t seed, MetricsRegistry* metrics, TraceBuffer* traces,
                  size_t shards, size_t batch_max, const ClockSource* clock)
     : clock_(clock != nullptr ? clock : WallClock::Get()), rng_(seed),
@@ -18,6 +25,7 @@ Network::Network(uint64_t seed, MetricsRegistry* metrics, TraceBuffer* traces,
     corrupted_ = metrics_->counter("net.corrupted");
     dup_injected_ = metrics_->counter("net.dup.injected");
     reorder_released_ = metrics_->counter("net.reorder.released");
+    delivered_inline_ = metrics_->counter("net.delivered_inline");
   }
   shards_.reserve(std::max<size_t>(shards, 1));
   for (size_t k = 0; k < std::max<size_t>(shards, 1); ++k) {
@@ -68,9 +76,12 @@ void Network::Shutdown() {
   stopping_.store(true);
   for (auto& shard : shards_) {
     // Lock-then-notify so a worker between its predicate check and its
-    // wait cannot miss the stop signal.
-    { std::lock_guard<std::mutex> lock(shard->mu); }
+    // wait cannot miss the stop signal; then wait out an inline delivery
+    // still running the shard's sinks (its holder notifies on release).
+    std::unique_lock<std::mutex> lock(shard->mu);
     shard->cv.notify_all();
+    clock_->WaitUntil(shard->cv, lock, TimePoint::max(),
+                      [&] { return !shard->busy; });
   }
   for (auto& shard : shards_) {
     shard->worker.join();
@@ -180,7 +191,7 @@ uint64_t Network::link_epoch() const {
   return link_epoch_;
 }
 
-void Network::Send(Packet packet) {
+void Network::Send(Packet packet, bool call_traffic) {
   InFlight entry;
   std::optional<InFlight> duplicate;
   {
@@ -314,41 +325,71 @@ void Network::Send(Packet packet) {
   // the packets, so DrainForTesting never observes a false zero.
   const uint64_t copies = duplicate.has_value() ? 2 : 1;
   in_flight_.fetch_add(copies, std::memory_order_acq_rel);
-  EnqueueToShard(std::move(entry));
   if (duplicate.has_value()) {
+    EnqueueToShard(std::move(entry));
     EnqueueToShard(std::move(*duplicate));
+    return;
   }
+  const bool deliver_inline =
+      call_traffic && !t_in_sink && entry.deliver_at == entry.sent_at;
+  EnqueueToShard(std::move(entry), deliver_inline);
 }
 
-void Network::EnqueueToShard(InFlight&& entry) {
+void Network::EnqueueToShard(InFlight&& entry, bool deliver_inline) {
   Shard& shard = ShardFor(entry.packet.dst);
-  bool wake_worker = false;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (stopping_.load()) {
-      // Workers are gone; the packet silently vanishes (it was "in
-      // flight" when the world stopped), and the drain barrier must not
-      // wait on it.
-      in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-      return;
-    }
-    const bool was_empty = shard.heap.empty();
-    const TimePoint old_front_due =
-        was_empty ? TimePoint{} : shard.heap.front().deliver_at;
-    shard.heap.push_back(std::move(entry));
-    std::push_heap(shard.heap.begin(), shard.heap.end(), DueLater{});
-    if (shard.enqueued != nullptr) {
-      shard.enqueued->Inc();
-    }
-    // Wake coalescing: the worker only needs a signal when the heap went
-    // empty -> non-empty (it may be in its indefinite wait) or when a new
-    // entry preempts the front (its wait_until deadline is now too late).
-    // A backlogged shard — front already due — never needs one: the worker
-    // is either draining or about to re-check the heap, so the common
-    // saturated Send pays no futex wake at all.
-    wake_worker =
-        was_empty || shard.heap.front().deliver_at < old_front_due;
+  std::unique_lock<std::mutex> lock(shard.mu);
+  if (stopping_.load()) {
+    // Workers are gone; the packet silently vanishes (it was "in
+    // flight" when the world stopped), and the drain barrier must not
+    // wait on it.
+    in_flight_.fetch_sub(1, std::memory_order_acq_rel);
+    return;
   }
+  if (shard.enqueued != nullptr) {
+    shard.enqueued->Inc();
+  }
+  if (deliver_inline && !shard.busy && shard.heap.empty()) {
+    // Nothing is queued ahead of this packet and nobody runs the shard's
+    // sinks: claim the shard and deliver on this thread. Sends that find
+    // the shard busy meanwhile queue without a wake, so before releasing
+    // drain one batch that came due, then wake the worker only for what
+    // is left.
+    shard.busy = true;
+    lock.unlock();
+    shard.batch.clear();
+    shard.batch.push_back(std::move(entry));
+    if (delivered_inline_ != nullptr) {
+      delivered_inline_->Inc();
+    }
+    RunBatch(shard);
+    lock.lock();
+    if (!stopping_.load()) {
+      DrainDue(shard, lock);
+    }
+    shard.busy = false;
+    const bool wake_worker = stopping_.load() || !shard.heap.empty();
+    lock.unlock();
+    if (wake_worker) {
+      shard.cv.notify_all();
+    }
+    return;
+  }
+  const bool was_empty = shard.heap.empty();
+  const TimePoint old_front_due =
+      was_empty ? TimePoint{} : shard.heap.front().deliver_at;
+  shard.heap.push_back(std::move(entry));
+  std::push_heap(shard.heap.begin(), shard.heap.end(), DueLater{});
+  // Wake coalescing: the worker only needs a signal when the heap went
+  // empty -> non-empty (it may be in its indefinite wait) or when a new
+  // entry preempts the front (its timed wait would end too late). A
+  // backlogged shard — front already due — never needs one: the worker is
+  // either draining or about to re-check the heap, so the common saturated
+  // Send pays no futex wake at all. Neither does a busy shard: its holder
+  // re-checks the heap before it lets go.
+  const bool wake_worker =
+      !shard.busy &&
+      (was_empty || shard.heap.front().deliver_at < old_front_due);
+  lock.unlock();
   if (wake_worker) {
     shard.cv.notify_all();
   }
@@ -459,80 +500,110 @@ void Network::CountDrop(const Packet& packet, TracePoint point) {
 
 void Network::ShardLoop(Shard& shard) {
   std::unique_lock<std::mutex> lock(shard.mu);
-  std::vector<InFlight> batch;
-  batch.reserve(batch_max_);
   for (;;) {
     if (stopping_.load()) {
       return;
     }
-    if (shard.heap.empty()) {
-      clock_->WaitUntil(
-          shard.cv, lock, TimePoint::max(),
-          [&] { return stopping_.load() || !shard.heap.empty(); });
+    if (shard.busy || shard.heap.empty()) {
+      // Idle, or an inline sender holds the shard (it wakes us on release
+      // if work remains).
+      clock_->WaitUntil(shard.cv, lock, TimePoint::max(), [&] {
+        return stopping_.load() || (!shard.busy && !shard.heap.empty());
+      });
       continue;
     }
-    const TimePoint now = clock_->Now();
-    if (now < shard.heap.front().deliver_at) {
-      clock_->WaitOnce(shard.cv, lock, shard.heap.front().deliver_at);
+    const TimePoint due = shard.heap.front().deliver_at;
+    if (clock_->Now() < due) {
+      // Sleep until the front is due; an entry that preempts it, an inline
+      // claim, or stop ends the wait early.
+      clock_->WaitUntil(shard.cv, lock, due, [&] {
+        return stopping_.load() || shard.busy || shard.heap.empty() ||
+               shard.heap.front().deliver_at < due;
+      });
       continue;
     }
-
-    // One lock acquisition drains every due entry (bounded by batch_max_),
-    // in heap order — so per-destination delivery order is exactly what
-    // the one-packet-per-wake engine produced.
-    batch.clear();
-    while (!shard.heap.empty() && batch.size() < batch_max_ &&
-           shard.heap.front().deliver_at <= now) {
-      std::pop_heap(shard.heap.begin(), shard.heap.end(), DueLater{});
-      batch.push_back(std::move(shard.heap.back()));
-      shard.heap.pop_back();
+    shard.busy = true;
+    DrainDue(shard, lock);
+    shard.busy = false;
+    if (stopping_.load()) {
+      shard.cv.notify_all();  // Shutdown may be waiting for !busy
     }
-
-    // Deliver outside the shard lock: a sink may immediately Send (e.g. a
-    // system failure reply) or hand off to guardian processes, and other
-    // shards' sinks run concurrently with this one.
-    lock.unlock();
-    if (shard.batch_drains != nullptr) {
-      shard.batch_drains->Inc();
-      shard.batch_packets->Inc(batch.size());
-      shard.batch_size->Observe(batch.size());
-    }
-    DeliverBatch(shard, batch);
-    FinishMany(batch.size());
-    lock.lock();
   }
 }
 
-void Network::DeliverBatch(Shard& shard, std::vector<InFlight>& batch) {
+void Network::DrainDue(Shard& shard, std::unique_lock<std::mutex>& lock) {
+  // One lock acquisition drains every due entry (bounded by batch_max_),
+  // in heap order — so per-destination delivery order is exactly what
+  // the one-packet-per-wake engine produced.
+  const TimePoint now = clock_->Now();
+  shard.batch.clear();
+  while (!shard.heap.empty() && shard.batch.size() < batch_max_ &&
+         shard.heap.front().deliver_at <= now) {
+    std::pop_heap(shard.heap.begin(), shard.heap.end(), DueLater{});
+    shard.batch.push_back(std::move(shard.heap.back()));
+    shard.heap.pop_back();
+  }
+  if (shard.batch.empty()) {
+    return;
+  }
+  // Deliver outside the shard lock: a sink may immediately Send (e.g. a
+  // system failure reply) or hand off to guardian processes, and other
+  // shards' sinks run concurrently with this one.
+  lock.unlock();
+  RunBatch(shard);
+  lock.lock();
+}
+
+void Network::RunBatch(Shard& shard) {
+  const size_t n = shard.batch.size();
+  if (shard.batch_drains != nullptr) {
+    shard.batch_drains->Inc();
+    shard.batch_packets->Inc(n);
+    shard.batch_size->Observe(n);
+  }
+  t_in_sink = true;
+  DeliverBatch(shard);
+  t_in_sink = false;
+  FinishMany(n);
+}
+
+void Network::DeliverBatch(Shard& shard) {
   // Group by destination, preserving first-appearance order so a given
   // seed produces the same sink-call sequence at every batch size. The
   // scan is linear in (groups × batch): a shard owns few destinations and
-  // batches are small, so this beats a map allocation per drain.
-  std::vector<std::pair<NodeId, std::vector<InFlight>>> groups;
-  for (InFlight& entry : batch) {
+  // batches are small, so this beats a map per drain. Groups (and their
+  // member vectors) are reused across drains, so a steady drain allocates
+  // nothing here.
+  size_t used = 0;
+  for (InFlight& entry : shard.batch) {
     const NodeId dst = entry.packet.dst;
-    std::vector<InFlight>* group = nullptr;
-    for (auto& [node, members] : groups) {
-      if (node == dst) {
-        group = &members;
+    Group* group = nullptr;
+    for (size_t g = 0; g < used; ++g) {
+      if (shard.groups[g].dst == dst) {
+        group = &shard.groups[g];
         break;
       }
     }
     if (group == nullptr) {
-      groups.emplace_back(dst, std::vector<InFlight>());
-      group = &groups.back().second;
+      if (used == shard.groups.size()) {
+        shard.groups.emplace_back();
+      }
+      group = &shard.groups[used++];
+      group->dst = dst;
     }
-    group->push_back(std::move(entry));
+    group->members.push_back(std::move(entry));
   }
-  for (auto& [dst, group] : groups) {
-    DeliverGroup(shard, dst, group);
+  for (size_t g = 0; g < used; ++g) {
+    DeliverGroup(shard, shard.groups[g].dst, shard.groups[g].members);
+    shard.groups[g].members.clear();  // empty for the next drain
   }
 }
 
 void Network::DeliverGroup(Shard& shard, NodeId dst,
                            std::vector<InFlight>& group) {
   PacketBatchSink sink;
-  std::vector<Packet> deliverable;
+  std::vector<Packet>& deliverable = shard.deliverable;
+  deliverable.clear();
   {
     // One stats-lock round-trip covers the whole group — at batch_max 1
     // this is the old per-packet acquisition, bit for bit.
@@ -541,7 +612,6 @@ void Network::DeliverGroup(Shard& shard, NodeId dst,
                     node_up_[dst - 1] && sinks_[dst - 1];
     if (ok) {
       sink = sinks_[dst - 1];
-      deliverable.reserve(group.size());
       stats_.packets_delivered += group.size();
       const TimePoint handoff_now = clock_->Now();
       for (InFlight& entry : group) {
@@ -582,6 +652,7 @@ void Network::DeliverGroup(Shard& shard, NodeId dst,
       shard.delivered->Inc(deliverable.size());
     }
     sink(std::move(deliverable));
+    deliverable.clear();  // whatever the sink did not consume
   } else if (shard.dropped != nullptr) {
     shard.dropped->Inc(group.size());
   }

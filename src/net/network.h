@@ -20,7 +20,7 @@
 // seed at every worker count; only wall-clock parallelism changes.
 //
 // Batched drains (DESIGN.md §12): on each wake a shard worker moves every
-// due heap entry — up to `batch_max` — into a local batch under one lock
+// due heap entry — up to `batch_max` — into a batch under one lock
 // acquisition, groups the batch by destination node, and hands each group
 // to the destination's sink in one call. At saturation this amortizes the
 // shard lock, the global stats lock, and the condvar wake over the whole
@@ -28,6 +28,13 @@
 // is unchanged (the drain pops in heap order), so a batch_max of 1
 // reproduces the unbatched engine exactly, and outcome counts stay
 // bit-identical at every batch size.
+//
+// Inline delivery (DESIGN.md §8): call traffic that is due at once, to a
+// shard that is idle, is delivered on the sending thread instead — the
+// sender is about to wait for the answer anyway, so the worker handoff is
+// pure latency. A shard's `busy` flag says who runs its sinks (the worker
+// draining, or one inline sender), so a node's sink still never runs
+// concurrently with itself and per-destination order holds.
 //
 // The substitution for the paper's physical network is documented in
 // DESIGN.md: every failure mode the paper reasons about (loss, reordering,
@@ -88,13 +95,15 @@ struct NetworkStats {
 };
 
 // Receives reassembly-ready packets at a node. Called on a delivery worker
-// thread; the packet is handed over by move (the network keeps nothing).
-// Implementations must be quick and must not block. Sinks for different
-// nodes may run concurrently; the sink of one node never runs reentrantly.
+// thread, or on the sending thread for inline call traffic; the packet is
+// handed over by move (the network keeps nothing). Implementations must be
+// quick and must not block. Sinks for different nodes may run
+// concurrently; the sink of one node never runs reentrantly.
 using PacketSink = std::function<void(Packet&&)>;
 // The batch entry point: every packet in one call shares the destination
 // node and arrives in delivery order. Same threading contract as
-// PacketSink — one call per (destination, drained batch).
+// PacketSink — one call per (destination, drained batch). The sink may
+// move the packets out; the network reuses the vector's storage.
 using PacketBatchSink = std::function<void(std::vector<Packet>&&)>;
 
 class Network {
@@ -185,9 +194,17 @@ class Network {
   // Inject one packet. Loss/corruption/latency are decided here, under one
   // lock and one rng, so outcomes depend only on the seed and the Send
   // order — never on worker count. Delivery happens later on the
-  // destination's shard worker. Local (src == dst) delivery still goes
-  // through the shard queue but with zero link cost.
-  void Send(Packet packet);
+  // destination's shard worker. Local (src == dst) delivery has zero link
+  // cost.
+  //
+  // `call_traffic` marks a packet whose sender is about to wait on its
+  // answer (a request carrying a reply port, or the reply closing a
+  // tracked call). Such a packet is delivered before Send returns, on this
+  // thread, when it is due now (zero delay), has no injected duplicate,
+  // is not on a held link, is not sent from inside a sink, and its
+  // destination shard is idle (empty heap, no sink running). Everything
+  // else goes through the shard worker.
+  void Send(Packet packet, bool call_traffic = false);
 
   // Block until no packets remain in flight on any shard and no sink is
   // mid-call (useful in tests). Packets a sink re-sends while draining are
@@ -199,10 +216,11 @@ class Network {
   // at future virtual deliver_at instants can become due.
   bool DrainForTesting(Micros wall_timeout);
 
-  // Stop every delivery worker and join them; no sink runs after this
-  // returns. Idempotent. System teardown calls it before destroying the
-  // node runtimes the sinks point into (they would otherwise race a
-  // delivery already in flight); ~Network calls it too.
+  // Stop every delivery worker, wait out any inline delivery in progress,
+  // and join the workers; no sink runs after this returns. Idempotent.
+  // System teardown calls it before destroying the node runtimes the
+  // sinks point into (they would otherwise race a delivery already in
+  // flight); ~Network calls it too.
   void Shutdown();
 
   NetworkStats stats() const;
@@ -226,6 +244,12 @@ class Network {
     }
   };
 
+  // One destination's share of a drained batch.
+  struct Group {
+    NodeId dst = 0;
+    std::vector<InFlight> members;
+  };
+
   // One delivery worker: a timing heap of packets addressed to the nodes
   // this shard owns, its own lock/condvar, and per-shard counters
   // (net.shard.<k>.{enqueued,delivered,dropped} plus the batching
@@ -235,6 +259,16 @@ class Network {
     std::mutex mu;
     std::condition_variable cv;
     std::vector<InFlight> heap;  // guarded by mu; DueLater min-heap
+    // Guarded by mu: someone — the worker draining, or an inline sender —
+    // is running this shard's sinks. Whoever set it owns the delivery
+    // scratch below and re-checks the heap before clearing it.
+    bool busy = false;
+    // Delivery scratch, reused across drains; touched only by the holder
+    // of `busy`. Only a drain's leading groups are live; the rest keep
+    // their capacity.
+    std::vector<InFlight> batch;
+    std::vector<Group> groups;
+    std::vector<Packet> deliverable;
     std::thread worker;
     Counter* enqueued = nullptr;   // may be null (no registry)
     Counter* delivered = nullptr;
@@ -261,10 +295,17 @@ class Network {
     return *shards_[dst == 0 ? 0 : (dst - 1) % shards_.size()];
   }
   void ShardLoop(Shard& shard);
+  // With `lock` held and `busy` claimed: pop up to batch_max due entries
+  // into shard.batch and deliver them outside the lock. Returns with the
+  // lock held again.
+  void DrainDue(Shard& shard, std::unique_lock<std::mutex>& lock);
+  // Deliver shard.batch (the caller holds `busy`, not the lock): count the
+  // drain, run the sinks, resolve the packets' in-flight count.
+  void RunBatch(Shard& shard);
   // Deliver one drained batch: group by destination (first-appearance
   // order; the batch itself is in (deliver_at, seq) order, so each group's
   // subsequence is too), then one stats pass + one sink call per group.
-  void DeliverBatch(Shard& shard, std::vector<InFlight>& batch);
+  void DeliverBatch(Shard& shard);
   void DeliverGroup(Shard& shard, NodeId dst, std::vector<InFlight>& group);
   // `n` packets left the system (delivered or dropped at delivery time);
   // wakes DrainForTesting when the last one resolves.
@@ -273,9 +314,10 @@ class Network {
   LinkCounters* CountersForLink(NodeId src, NodeId dst);
   void CountDrop(const Packet& packet, TracePoint point);
 
-  // Enqueue one decided entry onto its destination shard (wake-coalesced);
-  // the in-flight count must already cover it.
-  void EnqueueToShard(InFlight&& entry);
+  // Enqueue one decided entry onto its destination shard (wake-coalesced),
+  // or with `deliver_inline` deliver it on this thread if the shard is
+  // idle; the in-flight count must already cover it.
+  void EnqueueToShard(InFlight&& entry, bool deliver_inline = false);
 
   mutable std::mutex mu_;
   const ClockSource* clock_;
@@ -302,6 +344,9 @@ class Network {
   Counter* corrupted_ = nullptr;
   Counter* dup_injected_ = nullptr;
   Counter* reorder_released_ = nullptr;
+  // net.delivered_inline: packets a sending thread took to their sink
+  // itself (call traffic to an idle shard).
+  Counter* delivered_inline_ = nullptr;
   std::unordered_map<uint64_t, LinkCounters> link_counters_;
 
   std::vector<std::unique_ptr<Shard>> shards_;

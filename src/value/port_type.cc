@@ -64,28 +64,30 @@ std::string PortType::Canonical() const {
   return os.str();
 }
 
-MessageSig FailureSig() {
-  return MessageSig{kFailureCommand, {ArgType::Of(TypeTag::kString)}, {}};
+const MessageSig& FailureSig() {
+  static const MessageSig failure{
+      kFailureCommand, {ArgType::Of(TypeTag::kString)}, {}};
+  return failure;
 }
 
-Result<MessageSig> PortType::Find(const std::string& command) const {
+const MessageSig* PortType::Find(const std::string& command) const {
   if (command == kFailureCommand) {
-    return FailureSig();
+    return &FailureSig();
   }
   for (const auto& sig : sigs_) {
     if (sig.command == command) {
-      return sig;
+      return &sig;
     }
   }
-  return Status(Code::kNotFound,
-                "port type '" + name_ + "' has no command '" + command + "'");
+  return nullptr;
 }
 
 Status PortType::Check(const std::string& command, const ValueList& args,
                        bool has_reply_port) const {
-  auto sig = Find(command);
-  if (!sig.ok()) {
-    return Status(Code::kTypeError, sig.status().message());
+  const MessageSig* sig = Find(command);
+  if (sig == nullptr) {
+    return Status(Code::kTypeError, "port type '" + name_ +
+                                        "' has no command '" + command + "'");
   }
   if (args.size() != sig->args.size()) {
     std::ostringstream os;
@@ -111,8 +113,8 @@ Status PortType::Check(const std::string& command, const ValueList& args,
 }
 
 bool PortType::ExpectsReply(const std::string& command) const {
-  auto sig = Find(command);
-  return sig.ok() && !sig->replies.empty();
+  const MessageSig* sig = Find(command);
+  return sig != nullptr && !sig->replies.empty();
 }
 
 }  // namespace guardians

@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "src/common/result.h"
+#include "src/common/status.h"
 #include "src/value/value.h"
 
 namespace guardians {
@@ -72,9 +72,10 @@ class PortType {
   const std::vector<MessageSig>& signatures() const { return sigs_; }
   uint64_t hash() const { return hash_; }
 
-  // Find the signature for a command; understands the implicit failure
-  // message. kNoSuchPort... no: kNotFound when the command isn't declared.
-  Result<MessageSig> Find(const std::string& command) const;
+  // The signature for a command, or null when the command isn't declared;
+  // understands the implicit failure message. Points into this type (or
+  // at the shared failure signature), so it lives as long as the type.
+  const MessageSig* Find(const std::string& command) const;
 
   // Check a concrete (command, args, has_reply_port) against this type.
   // Returns kTypeError with a specific explanation on mismatch.
@@ -98,7 +99,7 @@ class PortType {
 inline constexpr char kFailureCommand[] = "failure";
 
 // Signature of the implicit failure message: failure(string).
-MessageSig FailureSig();
+const MessageSig& FailureSig();
 
 }  // namespace guardians
 

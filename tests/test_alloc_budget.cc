@@ -184,16 +184,21 @@ PortType PongType() {
 TEST(AllocBudgetTest, RemoteCallRoundTripIsPinned) {
   // A steady-state RemoteCall, counted on the calling thread: the reply
   // port, the flow slot, the tracked send (type check, encode, fragment,
-  // hand-off to the network) and the receive of the reply. Delivery and
-  // the server run on other threads and are not counted. Pinned at the
-  // count measured once the send and recv trace hops stopped formatting
-  // their detail strings: 8. Before that it was 10, once the single-port
+  // hand-off to the network), the request's delivery into the server's
+  // node (call traffic to an idle shard runs on the calling thread) and
+  // the receive of the reply. The server and the reply's delivery run on
+  // other threads and are not counted. Pinned at the count measured once
+  // the request began to be delivered inline, with the delivery path's
+  // per-batch vectors reused and the send's type check no longer copying
+  // the PortType and MessageSig: 7. It was 8, without the request's
+  // delivery, once the send and recv trace hops stopped formatting their
+  // detail strings. Before that it was 10, once the single-port
   // Receive stopped building a vector and the last attempt began handing
   // its arguments to the send instead of copying them. Recycling retired
   // reply ports had brought it to 13; with a fresh Port per call (its
   // PortType, its deque and a type registration rendering two canonical
   // strings) the same round trip made 26.
-  constexpr uint64_t kPinned = 8;
+  constexpr uint64_t kPinned = 7;
 
   SystemConfig config;
   config.seed = 5;
@@ -249,6 +254,53 @@ TEST(AllocBudgetTest, RemoteCallRoundTripIsPinned) {
   EXPECT_LE(most, kPinned)
       << "a steady-state RemoteCall round trip allocated " << most
       << " times on the calling thread; pinned at " << kPinned;
+}
+
+TEST(AllocBudgetTest, NoReplySendIsPinned) {
+  // A plain no-wait Guardian::Send at link > 0, counted on the sending
+  // thread: type check, encode, fragment and hand-off to the network (the
+  // packet is heaped for the shard worker, never delivered inline). Pinned
+  // at the count measured once the type check stopped copying the
+  // registered PortType and MessageSig: 3 — the encode buffer, its
+  // adoption into a shared slice, and the packets vector.
+  constexpr uint64_t kPinned = 3;
+
+  SystemConfig config;
+  config.seed = 6;
+  config.default_link.latency = Micros(200);
+  System system(config);
+  NodeRuntime& a = system.AddNode("a");
+  NodeRuntime& b = system.AddNode("b");
+  for (NodeRuntime* node : {&a, &b}) {
+    node->RegisterGuardianType("shell", MakeFactory<ShellGuardian>());
+  }
+  Guardian* client = *a.Create<ShellGuardian>("shell", "client", {});
+  Guardian* server = *b.Create<ShellGuardian>("shell", "server", {});
+  const PortName server_port = server->AddPort(PongType(), 1024)->name();
+  for (int n = 0; n < 64; ++n) {  // warm-up: trace and link counters
+    ASSERT_TRUE(client->Send(server_port, "pong", {Value::Int(n)}).ok());
+  }
+  system.network().DrainForTesting();
+
+  constexpr int kSamples = 32;
+  uint64_t most = 0;
+  int failed = 0;
+  for (int n = 0; n < kSamples; ++n) {
+    ValueList args = {Value::Int(n)};
+    uint64_t allocations = 0;
+    bool ok = false;
+    {
+      AllocationMeter meter;
+      ok = client->Send(server_port, "pong", std::move(args)).ok();
+      allocations = meter.Stop();
+    }
+    failed += ok ? 0 : 1;
+    most = std::max(most, allocations);
+  }
+  EXPECT_EQ(failed, 0);
+  EXPECT_LE(most, kPinned)
+      << "a no-reply Send allocated " << most
+      << " times on the sending thread; pinned at " << kPinned;
 }
 
 TEST(AllocBudgetTest, HopTraceRecordAllocatesNothing) {

@@ -1,7 +1,8 @@
 // Lifecycle races of the sharded delivery engine: concurrent
 // AddNode/Send/SetSink, Shutdown with packets in flight on every shard,
-// and sinks that re-send while a drain barrier is waiting. Run under the
-// tsan preset (GUARDIANS_SANITIZE=thread) via the "tsan" ctest label.
+// sinks that re-send while a drain barrier is waiting, and inline
+// delivery of call traffic on the sending thread. Run under the tsan
+// preset (GUARDIANS_SANITIZE=thread) via the "tsan" ctest label.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,6 +11,7 @@
 
 #include "src/common/clock.h"
 #include "src/net/network.h"
+#include "src/obs/metrics.h"
 
 namespace guardians {
 namespace {
@@ -165,6 +167,139 @@ TEST(NetworkLifecycleTest, SinkResendsWhileDraining) {
   EXPECT_GE(hops.load(), kHops);
   const NetworkStats stats = network.stats();
   EXPECT_EQ(stats.packets_delivered, stats.packets_sent);
+}
+
+TEST(NetworkLifecycleTest, InlineDeliveryKeepsPerDestinationOrder) {
+  // Two call senders (eligible for inline delivery) and one put sender
+  // aimed at one node on one shard: every sender's packets arrive in send
+  // order, and the node's sink never runs concurrently with itself,
+  // whichever thread — a worker or a sender — happens to run it.
+  MetricsRegistry metrics;
+  Network network(23, &metrics, nullptr, /*shards=*/1);
+  network.SetDefaultLink(LinkParams{Micros(0), Micros(0), 0, 0, 0});
+  const NodeId dst = network.AddNode("dst");
+  constexpr int kSenders = 3;  // 0 and 1 send call traffic, 2 puts
+  constexpr uint64_t kPerSender = 3000;
+  std::vector<NodeId> srcs;
+  for (int t = 0; t < kSenders; ++t) {
+    srcs.push_back(network.AddNode("src" + std::to_string(t)));
+  }
+  // Touched only inside the sink, read after the drain barrier.
+  std::vector<uint64_t> next(kSenders + 2, 0);
+  uint64_t out_of_order = 0;
+  std::atomic<bool> in_sink{false};
+  std::atomic<int> overlapping{0};
+  network.SetSink(dst, [&](Packet&& p) {
+    if (in_sink.exchange(true)) {
+      overlapping.fetch_add(1);
+    }
+    const uint64_t seq = p.msg_id % kPerSender;
+    if (seq != next[p.src]) {
+      ++out_of_order;
+    }
+    next[p.src] = seq + 1;
+    in_sink.store(false);
+  });
+
+  std::vector<std::thread> senders;
+  for (int t = 0; t < kSenders; ++t) {
+    senders.emplace_back([&, t] {
+      for (uint64_t i = 0; i < kPerSender; ++i) {
+        network.Send(MakePacket(srcs[t], dst, t * kPerSender + i),
+                     /*call_traffic=*/t < 2);
+      }
+    });
+  }
+  for (auto& thread : senders) {
+    thread.join();
+  }
+  network.DrainForTesting();
+
+  EXPECT_EQ(overlapping.load(), 0);
+  EXPECT_EQ(out_of_order, 0u);
+  for (int t = 0; t < kSenders; ++t) {
+    EXPECT_EQ(next[srcs[t]], kPerSender) << "sender " << t;
+  }
+  // Inline deliveries are drains: the shard's ledger and batch counters
+  // still cover every packet.
+  EXPECT_EQ(metrics.CounterValue("net.shard.0.enqueued"),
+            kSenders * kPerSender);
+  EXPECT_EQ(metrics.CounterValue("net.shard.0.delivered"),
+            kSenders * kPerSender);
+  EXPECT_EQ(metrics.CounterValue("net.shard.0.batch.packets"),
+            kSenders * kPerSender);
+  EXPECT_LE(metrics.CounterValue("net.delivered_inline"),
+            2 * kPerSender);
+}
+
+TEST(NetworkLifecycleTest, SendFromInsideASinkNeverGoesInline) {
+  // A call-traffic send to an idle shard is delivered on the sending
+  // thread; the same send made from inside that delivery is heaped for
+  // the destination's worker instead of nesting one sink in another.
+  MetricsRegistry metrics;
+  Network network(29, &metrics, nullptr, /*shards=*/2);
+  network.SetDefaultLink(LinkParams{Micros(0), Micros(0), 0, 0, 0});
+  const NodeId a = network.AddNode("a");  // shard 0
+  const NodeId b = network.AddNode("b");  // shard 1
+  std::thread::id a_thread;
+  std::thread::id b_thread;
+  network.SetSink(a, [&](Packet&& p) {
+    a_thread = std::this_thread::get_id();
+    network.Send(MakePacket(a, b, p.msg_id + 1), /*call_traffic=*/true);
+  });
+  network.SetSink(b, [&](Packet&&) { b_thread = std::this_thread::get_id(); });
+  network.Send(MakePacket(b, a, 1), /*call_traffic=*/true);
+  network.DrainForTesting();
+
+  EXPECT_EQ(a_thread, std::this_thread::get_id());  // the outer send: inline
+  EXPECT_NE(b_thread, std::thread::id());
+  EXPECT_NE(b_thread, std::this_thread::get_id());  // the nested one: worker
+  EXPECT_EQ(metrics.CounterValue("net.delivered_inline"), 1u);
+}
+
+TEST(NetworkLifecycleTest, ShutdownWaitsOutAnInlineDelivery) {
+  // Shutdown with a sink running on a sender's thread: it returns only
+  // after that sink has, and no sink runs after it returns — a
+  // call-traffic send racing the shutdown is silently discarded.
+  Network network(31, nullptr, nullptr, /*shards=*/2);
+  network.SetDefaultLink(LinkParams{Micros(0), Micros(0), 0, 0, 0});
+  const NodeId a = network.AddNode("a");
+  const NodeId b = network.AddNode("b");
+  std::atomic<bool> entered{false};
+  std::atomic<bool> release{false};
+  std::atomic<bool> shutdown_returned{false};
+  std::atomic<int> sink_after_shutdown{0};
+  std::atomic<int> deliveries{0};
+  network.SetSink(b, [&](Packet&&) {
+    if (shutdown_returned.load()) {
+      sink_after_shutdown.fetch_add(1);
+    }
+    deliveries.fetch_add(1);
+    entered.store(true);
+    while (!release.load()) {
+      std::this_thread::sleep_for(Millis(1));
+    }
+  });
+  std::thread sender([&] {
+    network.Send(MakePacket(a, b, 1), /*call_traffic=*/true);
+  });
+  while (!entered.load()) {
+    std::this_thread::sleep_for(Millis(1));
+  }
+  std::thread stopper([&] {
+    network.Shutdown();
+    shutdown_returned.store(true);
+  });
+  std::this_thread::sleep_for(Millis(50));
+  EXPECT_FALSE(shutdown_returned.load()) << "Shutdown left a sink running";
+  release.store(true);
+  sender.join();
+  stopper.join();
+  EXPECT_TRUE(shutdown_returned.load());
+  network.Send(MakePacket(a, b, 2), /*call_traffic=*/true);
+  EXPECT_EQ(deliveries.load(), 1);
+  EXPECT_EQ(sink_after_shutdown.load(), 0);
+  network.DrainForTesting();
 }
 
 TEST(NetworkLifecycleTest, DropDecisionsIdenticalAcrossWorkerCounts) {

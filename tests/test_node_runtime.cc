@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "src/guardian/system.h"
+#include "src/obs/trace.h"
 #include "src/sendprims/remote_call.h"
 #include "src/sendprims/sync_send.h"
 
@@ -204,12 +205,117 @@ TEST_F(NodeRuntimeTest, PortTypeRegistryIsSystemWide) {
   // The echo header was "compiled into the library" when the port was
   // added at node b; node a can check sends against it.
   EXPECT_TRUE(system_.port_types().Knows(EchoType().hash()));
-  auto looked_up = system_.port_types().Lookup(EchoType().hash());
-  ASSERT_TRUE(looked_up.ok());
+  const PortType* looked_up = system_.port_types().Lookup(EchoType().hash());
+  ASSERT_NE(looked_up, nullptr);
   EXPECT_EQ(looked_up->name(), "node_echo");
   // Conflicting redefinition of the same hash is rejected; identical
   // re-registration is idempotent.
   EXPECT_TRUE(system_.port_types().Register(EchoType()).ok());
+}
+
+// Inline delivery (DESIGN.md §8): at link 0 the network delivers call
+// traffic — a request carrying a reply port, or the journaled reply that
+// closes a tracked call — on the sending thread when the destination
+// shard is idle. Nodes a and b sit on different shards.
+class InlineDeliveryTest : public ::testing::Test {
+ protected:
+  InlineDeliveryTest() : system_(MakeConfig()) {
+    a_ = &system_.AddNode("a");
+    b_ = &system_.AddNode("b");
+    a_->RegisterGuardianType("shell", MakeFactory<ShellGuardian>());
+    a_->RegisterGuardianType("echo", MakeFactory<Echoer>());
+    b_->RegisterGuardianType("echo", MakeFactory<Echoer>());
+    driver_ = *a_->Create<ShellGuardian>("shell", "driver", {});
+    echo_port_ = (*b_->Create<Echoer>("echo", "echoer", {}))
+                     ->ProvidedPorts()[0];
+  }
+
+  static SystemConfig MakeConfig() {
+    SystemConfig config;
+    config.seed = 444;
+    config.default_link.latency = Micros(0);
+    return config;
+  }
+
+  uint64_t Inline() {
+    return system_.metrics().CounterValue("net.delivered_inline");
+  }
+
+  static RemoteCallOptions CallOptions() {
+    RemoteCallOptions options;
+    options.timeout = Millis(5000);
+    options.max_attempts = 1;
+    return options;
+  }
+
+  System system_;
+  NodeRuntime* a_ = nullptr;
+  NodeRuntime* b_ = nullptr;
+  Guardian* driver_ = nullptr;
+  PortName echo_port_;
+};
+
+TEST_F(InlineDeliveryTest, RequestsAndRepliesGoInlinePutsAndAcksDoNot) {
+  constexpr int kOps = 20;
+  const uint64_t journaled_before = b_->stats().replies_journaled;
+  uint64_t before = Inline();
+  for (int n = 0; n < kOps; ++n) {
+    auto reply = RemoteCall(*driver_, echo_port_, "echo", {Value::Str("x")},
+                            EchoReply(), CallOptions());
+    ASSERT_TRUE(reply.ok()) << reply.status();
+  }
+  // One request and one journaled reply per call, each on its sender's
+  // thread: the shards are idle between sequential calls.
+  EXPECT_EQ(Inline() - before, 2u * kOps);
+  EXPECT_EQ(b_->stats().replies_journaled - journaled_before,
+            static_cast<uint64_t>(kOps));
+
+  system_.network().DrainForTesting();
+  before = Inline();
+  for (int n = 0; n < kOps; ++n) {
+    ASSERT_TRUE(driver_->Send(echo_port_, "drop", {}).ok());  // a put
+    ASSERT_TRUE(SyncSend(*driver_, echo_port_, "drop", {}, Millis(5000))
+                    .ok());  // a request plus its ack, neither a call
+  }
+  system_.network().DrainForTesting();
+  EXPECT_EQ(Inline() - before, 0u);
+}
+
+TEST_F(InlineDeliveryTest, SameNodeRemoteCallWorks) {
+  // The caller's thread delivers into its own node and the echoer's
+  // thread delivers the reply back: both re-enter node a's delivery path
+  // from threads that hold none of its locks.
+  const PortName local_port =
+      (*a_->Create<Echoer>("echo", "local_echoer", {}))->ProvidedPorts()[0];
+  const uint64_t before = Inline();
+  for (int n = 0; n < 10; ++n) {
+    auto reply = RemoteCall(*driver_, local_port, "echo",
+                            {Value::Str("self")}, EchoReply(), CallOptions());
+    ASSERT_TRUE(reply.ok()) << reply.status();
+    EXPECT_EQ(reply->args[0].string_value(), "self");
+  }
+  EXPECT_GT(Inline() - before, 0u);
+}
+
+TEST_F(InlineDeliveryTest, SenderThreadContextIsLeftAsFound) {
+  // An inline delivery runs under the worker's neutral context and hands
+  // the sender its trace id and inherited deadline back untouched.
+  Port* reply_port = driver_->AddPort(EchoReply(), 4);
+  const TimePoint deadline_at = system_.clock()->Now() + Millis(60000);
+  SetCurrentTraceId(777);
+  SetCurrentDeadlineAt(deadline_at);
+  const uint64_t before = Inline();
+  ASSERT_TRUE(driver_->Send(echo_port_, "echo", {Value::Str("ctx")},
+                            reply_port->name())
+                  .ok());
+  EXPECT_EQ(Inline() - before, 1u);  // the request went inline
+  EXPECT_EQ(CurrentTraceId(), 777u);
+  EXPECT_EQ(CurrentDeadlineAt(), deadline_at);
+  SetCurrentTraceId(0);
+  SetCurrentDeadlineAt(TimePoint::max());
+  auto reply = driver_->Receive(reply_port, Millis(5000));
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  EXPECT_EQ(reply->trace_id, 777u);
 }
 
 }  // namespace

@@ -127,6 +127,34 @@ TEST(SupervisorTest, QuarantinesANodeWhoseRecoveryKeepsFailing) {
   EXPECT_FALSE(node.IsUp());
 }
 
+TEST(SupervisorTest, RecoveryIsTimedOnTheSystemClock) {
+  // The test moves virtual time in whole 1 ms steps only, so a recovery
+  // timed on the System's clock reads a whole number of steps (0 unless a
+  // step lands mid-restart). Timed on the wall clock it read the
+  // restart's real duration instead, some odd number of microseconds.
+  SimulatedClock sim;
+  SystemConfig config = MakeConfig();
+  config.sim_clock = &sim;
+  System system(config);
+  NodeRuntime& node = system.AddNode("n");
+  Supervisor supervisor(&system, FastConfig());
+  supervisor.Start();
+  node.Crash();
+  Counter* restarts = system.metrics().counter("supervisor.restarts");
+  for (int step = 0; step < 2000 && restarts->value() == 0; ++step) {
+    sim.Advance(Millis(1));
+    std::this_thread::sleep_for(Millis(1));
+  }
+  supervisor.Stop();
+  ASSERT_EQ(restarts->value(), 1u);
+  EXPECT_TRUE(node.IsUp());
+  const Histogram* recovery =
+      system.metrics().histogram("supervisor.recovery_us");
+  EXPECT_EQ(recovery->count(), 1u);
+  EXPECT_EQ(recovery->sum() % 1000, 0u)
+      << "recovery_us = " << recovery->sum() << " is not virtual time";
+}
+
 TEST(SupervisorTest, FailoverCallDemotesQuarantinedReplica) {
   System system(MakeConfig());
   NodeRuntime& r0 = system.AddNode("r0");
