@@ -97,8 +97,9 @@ struct NodeSink {
     uint64_t batch_decoded = 0;
     {
       std::lock_guard<std::mutex> lock(mu);
+      const TimePoint now = Now();
       for (Packet& packet : batch) {
-        auto added = reassembler.Add(std::move(packet));
+        auto added = reassembler.Add(std::move(packet), now);
         if (!added.ok() || !added->has_value()) {
           continue;  // corrupt fragment (or incomplete, not at this size)
         }

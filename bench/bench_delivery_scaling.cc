@@ -92,7 +92,7 @@ void BM_DeliveryScaling(benchmark::State& state) {
       network.SetSink(id, [raw](Packet&& packet) {
         std::this_thread::sleep_for(kServiceTime);
         std::lock_guard<std::mutex> lock(raw->mu);
-        auto added = raw->reassembler.Add(std::move(packet));
+        auto added = raw->reassembler.Add(std::move(packet), Now());
         if (!added.ok() || !added->has_value()) {
           return;  // corrupt fragment or message still incomplete
         }

@@ -31,10 +31,12 @@
 #
 # Three grep lints run before everything: src/ and tests/ must read time
 # only through the §15 ClockSource seam, never raw std::chrono clocks;
-# src/obs/ and src/fault/ must not call the free wall-clock Now() either; and
+# src/obs/, src/fault/ and src/wire/ must not call the free wall-clock Now()
+# either; and
 # within src/sendprims/ the inherited-deadline read, the flow-slot acquire
 # and the no-wait send each appear in exactly one file (the one attempt
-# path), so no primitive re-derives the per-attempt rules.
+# path), so no primitive re-derives the per-attempt rules. The tier-1
+# build then fails on any compiler warning in a src/ file.
 #
 # The chaos stage runs the deterministic chaos harness (bench_chaos: three
 # pinned seeds of composed faults — partitions, one-way cuts, campus cuts,
@@ -101,16 +103,19 @@ if grep -rn "std::chrono::steady_clock\|std::chrono::system_clock" \
 fi
 echo "lint ok: src/ and tests/ read time only through ClockSource"
 
-echo "==> lint: no free Now() in src/obs/ or src/fault/"
-# The free Now() is the raw wall clock by another name. Telemetry stamps
-# and the supervisor's recovery timings must read the clock the system
-# runs on, or they are wall-clock noise under virtual time.
-if grep -rn --include='*.h' --include='*.cc' 'Now()' src/obs/ src/fault/ \
+echo "==> lint: no free Now() in src/obs/, src/fault/ or src/wire/"
+# The free Now() is the raw wall clock by another name. Telemetry stamps,
+# the supervisor's recovery timings and the reassembler's age sweep must
+# read the clock the system runs on, or they are wall-clock noise under
+# virtual time.
+if grep -rn --include='*.h' --include='*.cc' 'Now()' \
+     src/obs/ src/fault/ src/wire/ \
      | grep -v -e '->Now()' -e '\.Now()'; then
-  echo "lint FAIL: src/obs/ or src/fault/ calls the free wall-clock Now()" >&2
+  echo "lint FAIL: src/obs/, src/fault/ or src/wire/ calls the free" \
+       "wall-clock Now()" >&2
   exit 1
 fi
-echo "lint ok: src/obs/ and src/fault/ stamp on their ClockSource"
+echo "lint ok: src/obs/, src/fault/ and src/wire/ read their ClockSource"
 
 echo "==> lint: one attempt path under the send ladder"
 # The §3 ladder's per-attempt rules (inherited deadline, flow slot, the
@@ -130,7 +135,17 @@ echo "lint ok: src/sendprims/ has one attempt path"
 
 echo "==> tier-1: configure + build (preset: default)"
 cmake --preset default
-cmake --build --preset default -j "$JOBS"
+cmake --build --preset default -j "$JOBS" 2>&1 | tee build/build.log
+
+echo "==> tier-1: no compiler warnings in src/"
+# The runtime builds warning-free under -Wall -Wextra -Wshadow; a warning
+# in src/ fails the gate instead of scrolling past. The log covers what
+# this build compiled, which on a fresh checkout is every file.
+if grep -E "^($PWD/)?src/[^:]*:[0-9]+:([0-9]+:)? warning:" build/build.log; then
+  echo "tier-1 FAIL: the default build warns in src/" >&2
+  exit 1
+fi
+echo "tier-1 ok: no warnings in src/"
 
 echo "==> tier-1: ctest (full suite)"
 ctest --preset default -j "$JOBS"

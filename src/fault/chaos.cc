@@ -1351,6 +1351,16 @@ LinkParams StormParams(Rng& g, bool allow_dup) {
   return p;
 }
 
+// Kind, epoch and endpoints; every other field keeps its default.
+ChaosEvent Event(ChaosEventKind kind, int epoch, NodeId a = 0, NodeId b = 0) {
+  ChaosEvent ev;
+  ev.kind = kind;
+  ev.epoch = epoch;
+  ev.a = a;
+  ev.b = b;
+  return ev;
+}
+
 }  // namespace
 
 std::vector<ChaosEvent> ChaosEngine::GenerateSchedule() const {
@@ -1431,9 +1441,9 @@ std::vector<ChaosEvent> ChaosEngine::GenerateSchedule() const {
             break;
           }
           sym.insert(sym_key(kClientNode, x));
-          out.push_back({ChaosEventKind::kPartition, e, kClientNode, x});
-          pending.emplace(heal_epoch, ChaosEvent{ChaosEventKind::kHeal,
-                                                 heal_epoch, kClientNode, x});
+          out.push_back(Event(ChaosEventKind::kPartition, e, kClientNode, x));
+          pending.emplace(heal_epoch, Event(ChaosEventKind::kHeal, heal_epoch,
+                                            kClientNode, x));
           break;
         }
         case 2: {
@@ -1446,10 +1456,10 @@ std::vector<ChaosEvent> ChaosEngine::GenerateSchedule() const {
             break;
           }
           oneway.insert({from, to});
-          out.push_back({ChaosEventKind::kPartitionOneWay, e, from, to});
+          out.push_back(Event(ChaosEventKind::kPartitionOneWay, e, from, to));
           pending.emplace(heal_epoch,
-                          ChaosEvent{ChaosEventKind::kHealOneWay, heal_epoch,
-                                     from, to});
+                          Event(ChaosEventKind::kHealOneWay, heal_epoch,
+                                from, to));
           break;
         }
         case 3: {
@@ -1460,8 +1470,8 @@ std::vector<ChaosEvent> ChaosEngine::GenerateSchedule() const {
           // Campus cuts heal after exactly one epoch: they silence the
           // whole workload, so longer would just burn wall time.
           const int ch = std::min(last, e + 1);
-          out.push_back({ChaosEventKind::kCampusCut, e});
-          pending.emplace(ch, ChaosEvent{ChaosEventKind::kCampusHeal, ch});
+          out.push_back(Event(ChaosEventKind::kCampusCut, e));
+          pending.emplace(ch, Event(ChaosEventKind::kCampusHeal, ch));
           break;
         }
         case 4: {
@@ -1471,13 +1481,13 @@ std::vector<ChaosEvent> ChaosEngine::GenerateSchedule() const {
             break;
           }
           stormed.insert(sym_key(kClientNode, kAnnexNode));
-          ChaosEvent ev{ChaosEventKind::kLinkStorm, e, kClientNode,
-                        kAnnexNode};
+          ChaosEvent ev =
+              Event(ChaosEventKind::kLinkStorm, e, kClientNode, kAnnexNode);
           ev.storm = storm;
           out.push_back(ev);
           pending.emplace(heal_epoch,
-                          ChaosEvent{ChaosEventKind::kLinkCalm, heal_epoch,
-                                     kClientNode, kAnnexNode});
+                          Event(ChaosEventKind::kLinkCalm, heal_epoch,
+                                kClientNode, kAnnexNode));
           break;
         }
         case 5: {
@@ -1490,13 +1500,13 @@ std::vector<ChaosEvent> ChaosEngine::GenerateSchedule() const {
             break;
           }
           stormed.insert(sym_key(kClientNode, kRegionNode));
-          ChaosEvent ev{ChaosEventKind::kLinkStorm, e, kClientNode,
-                        kRegionNode};
+          ChaosEvent ev =
+              Event(ChaosEventKind::kLinkStorm, e, kClientNode, kRegionNode);
           ev.storm = storm;
           out.push_back(ev);
           pending.emplace(heal_epoch,
-                          ChaosEvent{ChaosEventKind::kLinkCalm, heal_epoch,
-                                     kClientNode, kRegionNode});
+                          Event(ChaosEventKind::kLinkCalm, heal_epoch,
+                                kClientNode, kRegionNode));
           break;
         }
         case 6: {
@@ -1510,7 +1520,7 @@ std::vector<ChaosEvent> ChaosEngine::GenerateSchedule() const {
             break;
           }
           crashed_this_epoch = true;
-          ChaosEvent ev{ChaosEventKind::kCrash, e, target};
+          ChaosEvent ev = Event(ChaosEventKind::kCrash, e, target);
           if (config_.supervised) {
             ev.crash_point = kCrashSites[site];
             ev.nth_hit = nth;
@@ -1523,10 +1533,10 @@ std::vector<ChaosEvent> ChaosEngine::GenerateSchedule() const {
             break;
           }
           store_failed = true;
-          out.push_back({ChaosEventKind::kStoreFail, e, kAnnexNode});
+          out.push_back(Event(ChaosEventKind::kStoreFail, e, kAnnexNode));
           pending.emplace(heal_epoch,
-                          ChaosEvent{ChaosEventKind::kStoreHeal, heal_epoch,
-                                     kAnnexNode});
+                          Event(ChaosEventKind::kStoreHeal, heal_epoch,
+                                kAnnexNode));
           break;
         }
         default:
@@ -1534,12 +1544,12 @@ std::vector<ChaosEvent> ChaosEngine::GenerateSchedule() const {
       }
     }
     if (e >= 2 && g.NextBool(0.35)) {
-      out.push_back({ChaosEventKind::kDupReplay, e});
+      out.push_back(Event(ChaosEventKind::kDupReplay, e));
     }
     if (ov_g.NextBool(0.35)) {
       // Doomed-by-construction overload bursts (clock-agnostic, so part
       // of the wall menu): see ChaosRun::DoOverloadStorm.
-      ChaosEvent ev{ChaosEventKind::kOverloadStorm, e};
+      ChaosEvent ev = Event(ChaosEventKind::kOverloadStorm, e);
       ev.overload_n = 4 + ov_g.NextBelow(5);
       out.push_back(ev);
     }
@@ -1549,7 +1559,7 @@ std::vector<ChaosEvent> ChaosEngine::GenerateSchedule() const {
     // counts in ci.sh depend on the wall half never moving).
     if (config_.sim_time) {
       if (sim_g.NextBool(0.45)) {
-        ChaosEvent ev{ChaosEventKind::kClockSkew, e};
+        ChaosEvent ev = Event(ChaosEventKind::kClockSkew, e);
         ev.a = static_cast<NodeId>(1 + sim_g.NextBelow(3));
         const bool forward = sim_g.NextBool(0.5);
         const int64_t mag =
@@ -1558,7 +1568,7 @@ std::vector<ChaosEvent> ChaosEngine::GenerateSchedule() const {
         out.push_back(ev);
       }
       if (sim_g.NextBool(0.3)) {
-        ChaosEvent ev{ChaosEventKind::kClockDrift, e};
+        ChaosEvent ev = Event(ChaosEventKind::kClockDrift, e);
         ev.a = static_cast<NodeId>(1 + sim_g.NextBelow(3));
         // 0.5x .. 2.0x in deterministic 1/16 steps; never exactly the
         // degenerate near-zero rates the clock clamps anyway.
@@ -1569,8 +1579,8 @@ std::vector<ChaosEvent> ChaosEngine::GenerateSchedule() const {
         // Reordering storms ride the fire-and-forget noise link: held
         // packets deliver late (after the epoch's ops), so a link whose
         // senders wait for replies would read every hold as a timeout.
-        ChaosEvent ev{ChaosEventKind::kReorderStorm, e, kClientNode,
-                      kAnnexNode};
+        ChaosEvent ev =
+            Event(ChaosEventKind::kReorderStorm, e, kClientNode, kAnnexNode);
         ev.reorder_k = 2 + sim_g.NextBelow(7);
         out.push_back(ev);
       }

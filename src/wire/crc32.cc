@@ -5,26 +5,54 @@
 namespace guardians {
 namespace {
 
-std::array<uint32_t, 256> MakeTable() {
-  std::array<uint32_t, 256> table{};
+// Slicing-by-8: kTables[0] is the classic reflected table for 0xEDB88320,
+// and kTables[k][i] is the CRC of byte i followed by k zero bytes, so one
+// step folds eight input bytes with eight independent lookups. Built at
+// compile time: no startup work and no static guard on the hot path.
+using Table = std::array<uint32_t, 256>;
+
+constexpr std::array<Table, 8> MakeTables() {
+  std::array<Table, 8> tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (size_t k = 1; k < tables.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      const uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFF];
+    }
+  }
+  return tables;
+}
+
+constexpr std::array<Table, 8> kTables = MakeTables();
+
+// Assembled bytewise so the result is the same on any host byte order; on a
+// little-endian target the compiler folds it into one 32-bit load.
+inline uint32_t LoadLe32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t size) {
-  static const std::array<uint32_t, 256> kTable = MakeTable();
   const auto* p = static_cast<const uint8_t*>(data);
   uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < size; ++i) {
-    crc = kTable[(crc ^ p[i]) & 0xFF] ^ (crc >> 8);
+  for (; size >= 8; p += 8, size -= 8) {
+    const uint32_t lo = LoadLe32(p) ^ crc;
+    const uint32_t hi = LoadLe32(p + 4);
+    crc = kTables[7][lo & 0xFF] ^ kTables[6][(lo >> 8) & 0xFF] ^
+          kTables[5][(lo >> 16) & 0xFF] ^ kTables[4][lo >> 24] ^
+          kTables[3][hi & 0xFF] ^ kTables[2][(hi >> 8) & 0xFF] ^
+          kTables[1][(hi >> 16) & 0xFF] ^ kTables[0][hi >> 24];
+  }
+  for (; size > 0; ++p, --size) {
+    crc = kTables[0][(crc ^ *p) & 0xFF] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }

@@ -42,10 +42,6 @@ std::vector<Packet> Fragment(BufferSlice message, uint64_t msg_id, NodeId src,
   return packets;
 }
 
-Result<std::optional<BufferSlice>> Reassembler::Add(Packet&& packet) {
-  return Add(std::move(packet), Now());
-}
-
 Result<std::optional<BufferSlice>> Reassembler::Add(Packet&& packet,
                                                     TimePoint now,
                                                     int64_t* age_micros_out) {

@@ -101,15 +101,14 @@ class Reassembler {
   // its previous incarnation. The first packet carrying a *new* session
   // for a source drops that source's surviving partials outright — they
   // belong to a dead incarnation and can never complete legitimately.
-  Result<std::optional<BufferSlice>> Add(Packet&& packet);
-  // Same, with the caller supplying "now" — how NodeRuntime runs the age
-  // sweep on the node's own (possibly simulated, possibly skewed) clock.
-  // The no-argument form uses the wall clock. When a message completes and
-  // `age_micros_out` is non-null it receives the message's network age: for
-  // an unfragmented message the packet's own age, for a fragmented one the
-  // oldest fragment's send-to-completion span (its network age plus the
-  // time it waited in the partial for its siblings) — the amount a
-  // relative deadline budget must be decremented by at this hop.
+  // The caller supplies "now": NodeRuntime runs the age sweep on the node's
+  // own (possibly simulated, possibly skewed) clock. When a message
+  // completes and `age_micros_out` is non-null it receives the message's
+  // network age: for an unfragmented message the packet's own age, for a
+  // fragmented one the oldest fragment's send-to-completion span (its
+  // network age plus the time it waited in the partial for its siblings) —
+  // the amount a relative deadline budget must be decremented by at this
+  // hop.
   Result<std::optional<BufferSlice>> Add(Packet&& packet, TimePoint now,
                                          int64_t* age_micros_out = nullptr);
 

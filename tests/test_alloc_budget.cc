@@ -105,7 +105,7 @@ TEST(AllocBudgetTest, UnfragmentedSendToDeliverPathIsBounded) {
     auto warm = EncodeEnvelope(env, DefaultLimits());
     ASSERT_TRUE(warm.ok());
     auto packets = Fragment(std::move(*warm), 0, 1, 2, 1024);
-    auto out = reassembler.Add(std::move(packets[0]));
+    auto out = reassembler.Add(std::move(packets[0]), Now());
     ASSERT_TRUE(out.ok());
   }
 
@@ -119,7 +119,7 @@ TEST(AllocBudgetTest, UnfragmentedSendToDeliverPathIsBounded) {
     if (ok) {
       auto packets =
           Fragment(std::move(*bytes), /*msg_id=*/1, 1, 2, /*max_payload=*/1024);
-      auto out = reassembler.Add(std::move(packets[0]));
+      auto out = reassembler.Add(std::move(packets[0]), Now());
       ok = out.ok() && out->has_value();
       if (ok) {
         delivered = std::move(**out);
@@ -142,7 +142,7 @@ TEST(AllocBudgetTest, FragmentationAddsNoPerFragmentPayloadAllocations) {
   {  // warm-up
     auto packets = Fragment(BufferSlice(message), 0, 1, 2, 64);
     for (auto& p : packets) {
-      ASSERT_TRUE(reassembler.Add(std::move(p)).ok());
+      ASSERT_TRUE(reassembler.Add(std::move(p), Now()).ok());
     }
   }
 
@@ -155,7 +155,7 @@ TEST(AllocBudgetTest, FragmentationAddsNoPerFragmentPayloadAllocations) {
     BufferSlice slice(std::move(fresh));  // adopt a fresh buffer
     auto packets = Fragment(std::move(slice), /*msg_id=*/1, 1, 2, 64);
     for (auto& p : packets) {
-      auto out = reassembler.Add(std::move(p));
+      auto out = reassembler.Add(std::move(p), Now());
       if (out.ok() && out->has_value()) {
         completed = true;
       }

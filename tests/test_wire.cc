@@ -111,12 +111,57 @@ TEST(Crc32Test, KnownVectors) {
 }
 
 TEST(Crc32Test, DetectsSingleBitFlip) {
+  // 100 bytes: twelve 8-byte sliced steps plus a 4-byte tail, so flips land
+  // in both halves of the kernel.
   Bytes data = ToBytes("permanence of effect");
+  while (data.size() < 100) {
+    data.push_back(static_cast<uint8_t>(data.size() * 37));
+  }
   const uint32_t clean = Crc32(data);
   for (size_t i = 0; i < data.size(); ++i) {
     data[i] ^= 0x10;
     EXPECT_NE(Crc32(data), clean) << "flip at " << i;
     data[i] ^= 0x10;
+  }
+}
+
+// One bit at a time, straight from the reflected polynomial: no tables, so
+// it shares nothing with the sliced kernel it checks.
+uint32_t ReferenceCrc32(const uint8_t* p, size_t size) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, MatchesReferenceAtEveryLengthAndOffset) {
+  Rng rng(0xC0C32);
+  Bytes buffer(16 + 64);
+  for (auto& b : buffer) {
+    b = static_cast<uint8_t>(rng.NextU64());
+  }
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t len = 0; len <= 64; ++len) {
+      const uint8_t* p = buffer.data() + offset;
+      EXPECT_EQ(Crc32(p, len), ReferenceCrc32(p, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32Test, MatchesReferenceOnLargeRandomBuffers) {
+  Rng rng(0x5EED);
+  for (size_t size : {size_t{1024}, size_t{4096}, size_t{4096 + 7}}) {
+    Bytes data(size);
+    for (auto& b : data) {
+      b = static_cast<uint8_t>(rng.NextU64());
+    }
+    EXPECT_EQ(Crc32(data), ReferenceCrc32(data.data(), data.size()))
+        << "size " << size;
   }
 }
 
@@ -416,7 +461,7 @@ TEST(PacketTest, ReassemblyInOrder) {
   auto packets = Fragment(BufferSlice(msg), 7, 1, 2, 8);
   Reassembler reassembler;
   for (size_t i = 0; i < packets.size(); ++i) {
-    auto out = reassembler.Add(std::move(packets[i]));
+    auto out = reassembler.Add(std::move(packets[i]), Now());
     ASSERT_TRUE(out.ok());
     if (i + 1 < packets.size()) {
       EXPECT_FALSE(out->has_value());
@@ -436,7 +481,8 @@ TEST(PacketTest, ReassemblyOutOfOrderAndDuplicates) {
   std::optional<BufferSlice> complete;
   for (auto it = packets.rbegin(); it != packets.rend(); ++it) {
     for (int dup = 0; dup < 2; ++dup) {
-      auto out = reassembler.Add(Packet(*it));  // Add consumes; keep the dup
+      // Add consumes; keep the dup.
+      auto out = reassembler.Add(Packet(*it), Now());
       ASSERT_TRUE(out.ok());
       if (out->has_value()) {
         complete = **out;
@@ -452,7 +498,7 @@ TEST(PacketTest, CorruptPacketDroppedByErrorDetection) {
   auto packets = Fragment(BufferSlice(msg), 11, 1, 2, 8);
   packets[1].payload.MutableData()[0] ^= 0x40;  // keep stale CRC
   Reassembler reassembler;
-  auto st = reassembler.Add(std::move(packets[1]));
+  auto st = reassembler.Add(std::move(packets[1]), Now());
   EXPECT_EQ(st.status().code(), Code::kCorrupt);
   EXPECT_EQ(reassembler.corrupt_dropped(), 1u);
 }
@@ -466,7 +512,7 @@ TEST(PacketTest, InterleavedMessagesReassembleIndependently) {
   int completed = 0;
   for (size_t i = 0; i < std::max(p1.size(), p2.size()); ++i) {
     if (i < p1.size()) {
-      auto out = reassembler.Add(std::move(p1[i]));
+      auto out = reassembler.Add(std::move(p1[i]), Now());
       ASSERT_TRUE(out.ok());
       if (out->has_value()) {
         EXPECT_EQ(**out, m1);
@@ -474,7 +520,7 @@ TEST(PacketTest, InterleavedMessagesReassembleIndependently) {
       }
     }
     if (i < p2.size()) {
-      auto out = reassembler.Add(std::move(p2[i]));
+      auto out = reassembler.Add(std::move(p2[i]), Now());
       ASSERT_TRUE(out.ok());
       if (out->has_value()) {
         EXPECT_EQ(**out, m2);
@@ -489,7 +535,8 @@ TEST(PacketTest, PartialEvictionBoundsMemory) {
   Reassembler reassembler(/*max_partial=*/4);
   for (uint64_t m = 0; m < 10; ++m) {
     auto packets = Fragment(Bytes(64, 1), m, 1, 2, 16);
-    ASSERT_TRUE(reassembler.Add(std::move(packets[0])).ok());  // never complete
+    // Never completes.
+    ASSERT_TRUE(reassembler.Add(std::move(packets[0]), Now()).ok());
   }
   EXPECT_LE(reassembler.partial_count(), 4u);
 }
@@ -502,7 +549,8 @@ TEST(PacketTest, InconsistentFragmentHeaderRejected) {
   p.payload = Bytes{1, 2, 3};
   p.Seal();
   Reassembler reassembler;
-  EXPECT_EQ(reassembler.Add(std::move(p)).status().code(), Code::kCorrupt);
+  EXPECT_EQ(reassembler.Add(std::move(p), Now()).status().code(),
+            Code::kCorrupt);
 }
 
 TEST(PacketTest, SameMsgIdFromTwoSendersReassemblesIndependently) {
@@ -525,14 +573,14 @@ TEST(PacketTest, SameMsgIdFromTwoSendersReassemblesIndependently) {
   // Strictly interleave the two senders' fragments.
   for (size_t i = 0; i < std::max(pa.size(), pb.size()); ++i) {
     if (i < pa.size()) {
-      auto out = reassembler.Add(std::move(pa[i]));
+      auto out = reassembler.Add(std::move(pa[i]), Now());
       ASSERT_TRUE(out.ok()) << out.status();
       if (out->has_value()) {
         got_a = **out;
       }
     }
     if (i < pb.size()) {
-      auto out = reassembler.Add(std::move(pb[i]));
+      auto out = reassembler.Add(std::move(pb[i]), Now());
       ASSERT_TRUE(out.ok()) << out.status();
       if (out->has_value()) {
         got_b = **out;
@@ -560,8 +608,8 @@ TEST(PacketTest, StalePartialsExpireByAge) {
   auto pa = Fragment(BufferSlice(one), /*msg_id=*/1, /*src=*/1, /*dst=*/2, 7);
   auto pb = Fragment(BufferSlice(two), /*msg_id=*/2, /*src=*/1, /*dst=*/2, 7);
   ASSERT_EQ(pa.size(), 2u);
-  ASSERT_TRUE(reassembler.Add(std::move(pa[0])).ok());
-  ASSERT_TRUE(reassembler.Add(std::move(pb[0])).ok());
+  ASSERT_TRUE(reassembler.Add(std::move(pa[0]), Now()).ok());
+  ASSERT_TRUE(reassembler.Add(std::move(pb[0]), Now()).ok());
   EXPECT_EQ(reassembler.partial_count(), 2u);
   EXPECT_EQ(reassembler.expired(), 0u);
 
@@ -570,14 +618,14 @@ TEST(PacketTest, StalePartialsExpireByAge) {
   std::this_thread::sleep_for(std::chrono::milliseconds(40));
   const Bytes three(14, 0x33);
   auto pc = Fragment(BufferSlice(three), /*msg_id=*/3, /*src=*/1, /*dst=*/2, 7);
-  auto out = reassembler.Add(std::move(pc[0]));
+  auto out = reassembler.Add(std::move(pc[0]), Now());
   ASSERT_TRUE(out.ok());
   EXPECT_FALSE(out->has_value());
   EXPECT_EQ(reassembler.expired(), 2u);
   EXPECT_EQ(reassembler.partial_count(), 1u);  // only msg 3 survives
 
   // The young partial was not collateral damage: it still completes.
-  auto done = reassembler.Add(std::move(pc[1]));
+  auto done = reassembler.Add(std::move(pc[1]), Now());
   ASSERT_TRUE(done.ok());
   ASSERT_TRUE(done->has_value());
   EXPECT_EQ(**done, three);
@@ -588,9 +636,9 @@ TEST(PacketTest, ExpiryZeroDisablesAgeSweep) {
   Reassembler reassembler(/*max_partial=*/1024, /*expiry=*/Micros(0));
   const Bytes msg(14, 0x44);
   auto packets = Fragment(BufferSlice(msg), /*msg_id=*/9, /*src=*/1, /*dst=*/2, 7);
-  ASSERT_TRUE(reassembler.Add(std::move(packets[0])).ok());
+  ASSERT_TRUE(reassembler.Add(std::move(packets[0]), Now()).ok());
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  auto done = reassembler.Add(std::move(packets[1]));
+  auto done = reassembler.Add(std::move(packets[1]), Now());
   ASSERT_TRUE(done.ok());
   ASSERT_TRUE(done->has_value());
   EXPECT_EQ(reassembler.expired(), 0u);
@@ -615,24 +663,24 @@ TEST(PacketTest, NewIncarnationDropsPredecessorPartials) {
 
   Reassembler reassembler;
   // The old incarnation lands fragments 0 and 1, then the source crashes.
-  ASSERT_TRUE(reassembler.Add(std::move(old_inc[0])).ok());
-  ASSERT_TRUE(reassembler.Add(std::move(old_inc[1])).ok());
+  ASSERT_TRUE(reassembler.Add(std::move(old_inc[0]), Now()).ok());
+  ASSERT_TRUE(reassembler.Add(std::move(old_inc[1]), Now()).ok());
   EXPECT_EQ(reassembler.partial_count(), 1u);
 
   // The restarted incarnation sends fragments 2 and 3 of "the same"
   // message. Under the old keying these completed a 0xA/0xB chimera; now
   // the first new-session packet drops the predecessor's partial outright.
-  auto out = reassembler.Add(std::move(new_inc[2]));
+  auto out = reassembler.Add(std::move(new_inc[2]), Now());
   ASSERT_TRUE(out.ok());
   EXPECT_FALSE(out->has_value());
-  auto out2 = reassembler.Add(std::move(new_inc[3]));
+  auto out2 = reassembler.Add(std::move(new_inc[3]), Now());
   ASSERT_TRUE(out2.ok());
   EXPECT_FALSE(out2->has_value());  // the splice can never complete
   EXPECT_EQ(reassembler.session_dropped(), 1u);
 
   // The new incarnation's own message still completes, bit-exact.
-  ASSERT_TRUE(reassembler.Add(std::move(new_inc[0])).ok());
-  auto done = reassembler.Add(std::move(new_inc[1]));
+  ASSERT_TRUE(reassembler.Add(std::move(new_inc[0]), Now()).ok());
+  auto done = reassembler.Add(std::move(new_inc[1]), Now());
   ASSERT_TRUE(done.ok());
   ASSERT_TRUE(done->has_value());
   EXPECT_EQ(**done, post);
@@ -724,7 +772,7 @@ TEST(PacketTest, FragmentsAreViewsOfOneBufferAndReassemblyIsZeroCopy) {
   Reassembler reassembler;
   std::optional<BufferSlice> complete;
   for (auto& p : packets) {
-    auto out = reassembler.Add(std::move(p));
+    auto out = reassembler.Add(std::move(p), Now());
     ASSERT_TRUE(out.ok());
     if (out->has_value()) {
       complete = std::move(**out);
@@ -751,7 +799,7 @@ TEST(PacketTest, ReassemblyGathersOnceWhenAFragmentWasRewritten) {
   std::optional<BufferSlice> complete;
   const uint64_t copied_before = BufferStats::BytesCopied();
   for (auto& p : packets) {
-    auto out = reassembler.Add(std::move(p));
+    auto out = reassembler.Add(std::move(p), Now());
     ASSERT_TRUE(out.ok());
     if (out->has_value()) {
       complete = std::move(**out);
